@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"videodvfs/internal/experiments"
@@ -26,10 +29,10 @@ func shortBase() experiments.RunConfig {
 	return cfg
 }
 
-// An N=1 cohort must reproduce a standalone Run bit for bit: the viewer
-// is wired in Session.Reset's exact construction order and collected by
-// the same collectResult path, so DeepEqual — not tolerances — is the
-// bar. Invariants ride both sides (Strict), per the PR contract.
+// An N=1 cohort must reproduce a standalone Run bit for bit: both sides
+// build the device through the one Viewer.Reset path and collect it
+// through the same collectResult, so DeepEqual — not tolerances — is the
+// bar. Invariants ride both sides (Strict).
 func TestSingleViewerEquivalentToRun(t *testing.T) {
 	base := shortBase()
 	base.Strict = true
@@ -73,6 +76,65 @@ func TestSingleViewerEquivalentToRun(t *testing.T) {
 	if want := ref.CPUJ; res.CPUJ != want {
 		t.Errorf("cohort CPUJ %v != run CPUJ %v", res.CPUJ, want)
 	}
+}
+
+// N viewers sharing shard engines must each reproduce their own standalone
+// Run: viewer i equals Run with viewer i's split background seed. Eight
+// t=0 viewers over two shards interleave their events in one heap per
+// shard, so any cross-viewer leak through the shared engine shows here.
+func TestCohortViewersEquivalentToRuns(t *testing.T) {
+	const n = 8
+	base := shortBase()
+	base.Strict = true
+	base.Background = true
+
+	var mu sync.Mutex
+	got := make(map[int]experiments.RunResult, n)
+	res, err := Run(Config{
+		Base:    base,
+		Viewers: n,
+		Shards:  2,
+		Arrival: Arrival{Kind: ArrivalAll},
+		OnViewer: func(i int, r *experiments.RunResult, verr error) {
+			if verr != nil {
+				t.Errorf("viewer %d: %v", i, verr)
+				return
+			}
+			mu.Lock()
+			got[i] = cloneResult(*r) // r is the shard's recycled scratch
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("cohort run: %v", err)
+	}
+	if res.Completed != n || res.Errors != 0 {
+		t.Fatalf("completed=%d errors=%d (%s), want %d/0", res.Completed, res.Errors, res.FirstError, n)
+	}
+	for i := 0; i < n; i++ {
+		refCfg := base
+		refCfg.BGSeed = sim.ChildSeedN(base.Seed, "cohort/bgload", i)
+		ref, err := experiments.Run(refCfg)
+		if err != nil {
+			t.Fatalf("viewer %d reference run: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i], ref) {
+			t.Errorf("viewer %d differs from Run:\ncohort: %+v\nrun:    %+v", i, got[i], ref)
+		}
+	}
+}
+
+// cloneResult deep-copies a RunResult's maps and prediction stats.
+func cloneResult(r experiments.RunResult) experiments.RunResult {
+	r.FreqResidency = maps.Clone(r.FreqResidency)
+	r.RadioResidency = maps.Clone(r.RadioResidency)
+	r.IdleResidency = maps.Clone(r.IdleResidency)
+	if r.Pred != nil {
+		p := *r.Pred
+		p.RelErr = slices.Clone(p.RelErr)
+		r.Pred = &p
+	}
+	return r
 }
 
 // goldenConfig is the pinned determinism scenario: several shards, a

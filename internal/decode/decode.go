@@ -187,9 +187,6 @@ func (d *Decoder) ReadyLen() int { return d.ready.len() }
 // PendingLen returns the coded input backlog.
 func (d *Decoder) PendingLen() int { return d.pending.len() }
 
-// InFlight reports whether a decode job is executing.
-func (d *Decoder) InFlight() bool { return d.inFlight }
-
 // Cap returns the decoded-queue capacity.
 func (d *Decoder) Cap() int { return d.cap }
 

@@ -13,7 +13,6 @@ import (
 	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
-	"videodvfs/internal/governor"
 	"videodvfs/internal/invariant"
 	"videodvfs/internal/netsim"
 	"videodvfs/internal/player"
@@ -329,38 +328,6 @@ func (cfg RunConfig) Validate() error {
 	return nil
 }
 
-// buildGovernor returns the governor plus, when video-aware, its session
-// hooks; a non-nil tracer is attached to the video-aware policies.
-func buildGovernor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, *core.Governor, error) {
-	switch cfg.Governor {
-	case GovEnergyAware:
-		pol := cfg.Policy
-		if pol == (core.Config{}) {
-			pol = core.DefaultConfig()
-		}
-		g, err := core.New(pol)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if tr != nil {
-			g.SetTracer(tr)
-		}
-		return g, g, g, nil
-	case GovOracle:
-		o := core.NewOracle()
-		if tr != nil {
-			o.SetTracer(tr)
-		}
-		return o, o, nil, nil
-	default:
-		g, err := governor.New(string(cfg.Governor))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return g, nil, nil, nil
-	}
-}
-
 // Shared bandwidth values for the constant profiles: both are immutable
 // value types, and package-level interface values keep the per-run boxing
 // allocation off the arena's reset path.
@@ -383,21 +350,10 @@ type bwKey struct {
 // sharing them between concurrent runs is safe and changes no output.
 var bwCache sync.Map // bwKey -> netsim.Bandwidth
 
-func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
-	bw, rrc, err := buildBandwidthBase(cfg)
-	if err != nil {
-		return nil, rrc, err
-	}
-	if cfg.RRC != nil {
-		rrc = *cfg.RRC
-	}
-	return bw, rrc, nil
-}
-
-// buildBandwidthBase resolves the bandwidth model and the network's default
-// RRC profile, before any RunConfig.RRC override (the arena memoizes the
+// buildBandwidth resolves the bandwidth model and the network's default
+// RRC profile, before any RunConfig.RRC override (the viewer memoizes the
 // base pair and applies the override per run).
-func buildBandwidthBase(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
+func buildBandwidth(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
 	rrc := netsim.DefaultLTE()
 	var bw netsim.Bandwidth
 	switch cfg.Net {
@@ -499,12 +455,6 @@ func buildRenditions(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
 	fps := cfg.FPS
 	if fps == 0 {
 		fps = 30
-	}
-	if cfg.Trace != nil {
-		if len(cfg.Trace.Frames) == 0 {
-			return nil, nil, fmt.Errorf("experiments: empty frame trace")
-		}
-		return []*video.Stream{cfg.Trace}, abrFixed0, nil
 	}
 	// Codec resolution is deferred into the cache-miss branches: the
 	// default codec's construction allocates, and a bad codec name can

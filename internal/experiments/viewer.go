@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"videodvfs/internal/abr"
 	"videodvfs/internal/core"
 	"videodvfs/internal/cpu"
 	"videodvfs/internal/energy"
@@ -36,41 +37,69 @@ type ViewerOptions struct {
 	OnDone func()
 }
 
-// Viewer is one streaming session wired into a SHARED virtual-time
-// engine: the full per-device component set of a Run — meter, CPU core,
-// governor, radio, downloader, player, background load, optional thermal
-// model — scheduling into an engine it does not own and never stops.
-// N viewers over one engine is the cohort substrate: one event slab, one
-// clock, shared immutable stream/bandwidth tables (the package caches),
-// per-viewer everything else.
+// Viewer is one simulated device — meter, CPU core, governor, radio,
+// downloader, player, background load, optional thermal model — wired
+// into a virtual-time engine it does not own and never stops. Reset is
+// the only code that builds or rewinds that device: a Session owns one
+// Viewer on a private engine for single runs, and a cohort shard builds
+// many over one shared engine (one event slab, one clock, shared
+// immutable stream/bandwidth tables via the package caches, per-viewer
+// everything else).
 //
-// Construction mirrors Session.Reset's fresh path component for
-// component, in the same order, with the same RNG derivations — so a
-// single viewer started at t=0 replays a standalone Run's event sequence
-// exactly, and the N=1 cohort ≡ Run equivalence test can compare results
-// with DeepEqual rather than tolerances.
+// Reset constructs each component on first use and rewinds it in place
+// afterwards, in one fixed order with the same RNG derivations. A
+// recycled viewer therefore replays a fresh one's event sequence exactly,
+// and a single cohort viewer started at t=0 replays a standalone Run —
+// the N=1 cohort ≡ Run test compares results with DeepEqual, not
+// tolerances.
 type Viewer struct {
 	cfg  RunConfig // defaults applied
 	opts ViewerOptions
 	eng  *sim.Engine
 
-	meter   *energy.Meter
-	core    *cpu.Core
-	radio   *netsim.Radio
-	dl      *netsim.Downloader
-	ps      *player.Session
-	bg      *cpu.LoadGen
-	thermal *cpu.Thermal
-	gov     governor.Governor
-	eaGov   *core.Governor
-	chk     *invariant.Checker
+	// Components: built by the first Reset, rewound by every later one.
+	meter *energy.Meter
+	core  *cpu.Core
+	radio *netsim.Radio
+	dl    *netsim.Downloader
+	ps    *player.Session
+	ea    *core.Governor // the energy-aware governor, recycled when selected
+	bg    *cpu.LoadGen
+	bgRNG *sim.RNG
 
+	// Pre-bound untraced power listeners and completion callback:
+	// constructed once so a reset re-registers closures without
+	// allocating them.
+	cpuPowerFn   func(now sim.Time, watts float64)
+	radioPowerFn func(now sim.Time, watts float64)
+	doneFn       func()
+
+	// traceFor, when set, resolves the run's tracer around its invariant
+	// checker (an owning Session's trace factory, tee and batcher). When
+	// nil, the checker is teed with cfg.Tracer directly.
+	traceFor func(cfg RunConfig, chk *invariant.Checker) trace.Tracer
+
+	// Per-run wiring, established by Reset.
+	gov      governor.Governor
+	eaGov    *core.Governor
+	thermal  *cpu.Thermal
+	chk      *invariant.Checker
 	bgActive bool
-	horizon  sim.Time // relative to join, same default as Run
+	horizon  sim.Time // relative to join
 	join     sim.Time
-	started  bool
 	done     bool
-	cutOff   bool
+
+	// Viewer-local memos for the package caches: sync.Map lookups box
+	// their struct keys (an allocation per call), so same-config resets
+	// short-circuit here.
+	lastBWNet   NetKind
+	lastBWDur   sim.Time
+	lastBWSeed  int64
+	lastBW      netsim.Bandwidth
+	lastRRC     netsim.RRCConfig
+	lastRendKey streamKey
+	lastRends   []*video.Stream
+	traceRends  []*video.Stream
 }
 
 // activityHooks decorates SessionHooks with a second download-activity
@@ -89,21 +118,40 @@ func (h activityHooks) DownloadActivity(now sim.Time, active bool) {
 	h.SessionHooks.DownloadActivity(now, active)
 }
 
-// NewViewer builds a viewer over the shared engine, validating cfg the
-// same way Run does. Per-viewer OnSample and Tracer are rejected: a
-// shared engine multiplexes thousands of sessions, and per-viewer
-// callbacks are exactly the O(viewers) output the cohort design replaces
-// with online aggregation.
+// NewViewer builds a viewer over the shared engine through Reset. Per-viewer
+// OnSample and Tracer are rejected: a shared engine multiplexes thousands
+// of sessions, and per-viewer callbacks are exactly the O(viewers) output
+// the cohort design replaces with online aggregation.
 func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, error) {
+	if cfg.OnSample != nil || cfg.Tracer != nil {
+		return nil, fmt.Errorf("experiments: %w: per-viewer OnSample/Tracer not supported in a cohort (aggregate via rollups)",
+			ErrInvalidConfig)
+	}
+	v := &Viewer{eng: eng}
+	if err := v.Reset(cfg, opts); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// Reset wires the viewer for cfg on its engine, validating cfg the way Run
+// does and applying its defaults. Each component is rewound in place when
+// a previous Reset built it and constructed otherwise, always in the same
+// order: meter, core, C-states, governor, bandwidth, radio, downloader,
+// thermal model, background load, renditions, player. OnSample and Cancel
+// belong to an owning Session and are not read here.
+//
+// Reset does not clear the engine; events of a previous run on it must be
+// gone already (a Session resets its private engine first). On error,
+// whatever was attached to the engine — governor ticker, thermal sampler —
+// is detached again, so a half-built viewer leaves a shared engine as it
+// found it.
+func (v *Viewer) Reset(cfg RunConfig, opts ViewerOptions) (err error) {
 	if cfg.Trace != nil && cfg.Duration <= 0 {
 		cfg.Duration = cfg.Trace.Duration()
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.OnSample != nil || cfg.Tracer != nil {
-		return nil, fmt.Errorf("experiments: %w: per-viewer OnSample/Tracer not supported in a cohort (aggregate via rollups)",
-			ErrInvalidConfig)
+		return err
 	}
 	if cfg.Device.Name == "" {
 		cfg.Device = cpu.DeviceFlagship()
@@ -114,82 +162,92 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 	if cfg.Rung.Name == "" {
 		cfg.Rung = video.R720p
 	}
-
-	v := &Viewer{cfg: cfg, opts: opts, eng: eng}
-	// An attached governor or thermal sampler keeps scheduling into the
-	// SHARED engine; a half-built viewer must detach on every error path
-	// or it would haunt the whole cohort.
-	ok := false
+	v.teardown()
 	defer func() {
-		if !ok {
+		if err != nil {
 			v.teardown()
 		}
 	}()
+	v.cfg, v.opts = cfg, opts
+	v.eaGov, v.bgActive, v.join, v.done = nil, false, 0, false
 
 	v.chk = buildChecker(cfg)
 	var tr trace.Tracer
-	if v.chk != nil {
-		// The checker rides as the tracer, exactly as in Session.Reset;
-		// no batcher — order (and therefore every verdict) is unchanged,
-		// and viewers have no downstream sink to amortize for.
-		tr = v.chk
+	if v.traceFor != nil {
+		tr = v.traceFor(cfg, v.chk)
+	} else {
+		tr = teeChecker(v.chk, cfg.Tracer)
 	}
 
-	v.meter = energy.NewMeter(eng)
+	if v.meter == nil {
+		v.meter = energy.NewMeter(v.eng)
+		v.cpuPowerFn = v.meter.Listener(energy.ComponentCPU)
+		v.radioPowerFn = v.meter.Listener(energy.ComponentRadio)
+		v.doneFn = v.handleDone
+	} else {
+		v.meter.Reset()
+	}
 
-	var err error
-	v.core, err = cpu.NewCore(eng, cfg.Device)
-	if err != nil {
-		return nil, err
+	if v.core == nil {
+		if v.core, err = cpu.NewCore(v.eng, cfg.Device); err != nil {
+			return err
+		}
+	} else if err := v.core.Reset(cfg.Device); err != nil {
+		return err
 	}
 	if cfg.CStates {
 		if err := v.core.EnableCStates(cpu.DefaultCStates()); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if tr != nil {
 		v.core.SetTracer(tr)
 		v.core.OnPower(tracedListener(v.meter, energy.ComponentCPU, tr))
 	} else {
-		v.core.OnPower(v.meter.Listener(energy.ComponentCPU))
+		v.core.OnPower(v.cpuPowerFn)
 	}
 
-	gov, hooks, eaGov, err := buildGovernor(cfg, tr)
+	gov, hooks, eaGov, err := v.governorFor(cfg, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := gov.Attach(eng, v.core); err != nil {
-		return nil, err
+	if err := gov.Attach(v.eng, v.core); err != nil {
+		return err
 	}
 	v.gov, v.eaGov = gov, eaGov
 
-	bw, rrcCfg, err := buildBandwidth(cfg)
+	bw, rrcCfg, err := v.bandwidthFor(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if opts.WrapBandwidth != nil {
 		bw = opts.WrapBandwidth(bw)
 	}
-	v.radio, err = netsim.NewRadio(eng, rrcCfg)
-	if err != nil {
-		return nil, err
+	if v.radio == nil {
+		if v.radio, err = netsim.NewRadio(v.eng, rrcCfg); err != nil {
+			return err
+		}
+	} else if err := v.radio.Reset(rrcCfg); err != nil {
+		return err
 	}
 	if tr != nil {
 		v.radio.SetTracer(tr)
 		v.radio.OnPower(tracedListener(v.meter, energy.ComponentRadio, tr))
 	} else {
-		v.radio.OnPower(v.meter.Listener(energy.ComponentRadio))
+		v.radio.OnPower(v.radioPowerFn)
 	}
 
-	v.dl, err = netsim.NewDownloader(eng, bw, v.radio, v.core, netsim.DefaultDownloaderConfig())
-	if err != nil {
-		return nil, err
+	if v.dl == nil {
+		if v.dl, err = netsim.NewDownloader(v.eng, bw, v.radio, v.core, netsim.DefaultDownloaderConfig()); err != nil {
+			return err
+		}
+	} else if err := v.dl.Reset(bw, netsim.DefaultDownloaderConfig()); err != nil {
+		return err
 	}
 
 	if cfg.Thermal != nil {
-		v.thermal, err = cpu.StartThermal(eng, v.core, *cfg.Thermal)
-		if err != nil {
-			return nil, err
+		if v.thermal, err = cpu.StartThermal(v.eng, v.core, *cfg.Thermal); err != nil {
+			return err
 		}
 	}
 
@@ -198,16 +256,25 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 		if cfg.BGSeed != 0 {
 			bgSeed = cfg.BGSeed
 		}
-		v.bg, err = cpu.StartLoadGen(eng, v.core, sim.Stream(bgSeed, "bgload"), cpu.DefaultLoadGenConfig())
-		if err != nil {
-			return nil, err
+		if v.bg == nil {
+			v.bgRNG = sim.Stream(bgSeed, "bgload")
+			if v.bg, err = cpu.StartLoadGen(v.eng, v.core, v.bgRNG, cpu.DefaultLoadGenConfig()); err != nil {
+				return err
+			}
+		} else {
+			// Reseeding reproduces the exact stream a fresh
+			// sim.Stream(seed, "bgload") would draw.
+			v.bgRNG.Reseed(sim.ChildSeed(bgSeed, "bgload"))
+			if err := v.bg.Restart(cpu.DefaultLoadGenConfig()); err != nil {
+				return err
+			}
 		}
 		v.bgActive = true
 	}
 
-	renditions, algo, err := buildRenditions(cfg)
+	renditions, algo, err := v.renditionsFor(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	pcfg := player.DefaultConfig()
@@ -240,21 +307,143 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 	// oracles predict contended rates, not the pristine sector input.
 	fc, err := buildForecast(cfg, bw)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pcfg.Forecast = fc
-	v.ps, err = player.NewSession(eng, v.core, v.dl, renditions, pcfg)
-	if err != nil {
-		return nil, err
+	if v.ps == nil {
+		if v.ps, err = player.NewSession(v.eng, v.core, v.dl, renditions, pcfg); err != nil {
+			return err
+		}
+	} else if err := v.ps.Reset(renditions, pcfg); err != nil {
+		return err
 	}
-	v.ps.OnDone(v.handleDone)
+	v.ps.OnDone(v.doneFn)
 
 	v.horizon = cfg.Duration*6 + 60*sim.Second
 	if cfg.Horizon > 0 {
 		v.horizon = cfg.Horizon
 	}
-	ok = true
-	return v, nil
+	return nil
+}
+
+// teeChecker puts the invariant checker first in front of tr; it only
+// observes, so every downstream tracer sees the identical stream. Either
+// may be nil.
+func teeChecker(chk *invariant.Checker, tr trace.Tracer) trace.Tracer {
+	switch {
+	case chk == nil:
+		return tr
+	case tr == nil:
+		return chk
+	default:
+		return trace.Tee{chk, tr}
+	}
+}
+
+// governorFor resolves the run's governor plus, when video-aware, its
+// session hooks; a non-nil tracer is attached to the video-aware
+// policies. The viewer's energy-aware instance is recycled (predictor
+// state and decision tables rewound in place); the oracle and the stock
+// baselines are constructed fresh — they are allocation-light and keep
+// per-run sampling state.
+func (v *Viewer) governorFor(cfg RunConfig, tr trace.Tracer) (governor.Governor, player.SessionHooks, *core.Governor, error) {
+	switch cfg.Governor {
+	case GovEnergyAware:
+		pol := cfg.Policy
+		if pol == (core.Config{}) {
+			pol = core.DefaultConfig()
+		}
+		if v.ea == nil {
+			g, err := core.New(pol)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			v.ea = g
+		} else if err := v.ea.Reset(pol); err != nil {
+			return nil, nil, nil, err
+		}
+		if tr != nil {
+			v.ea.SetTracer(tr)
+		}
+		return v.ea, v.ea, v.ea, nil
+	case GovOracle:
+		o := core.NewOracle()
+		if tr != nil {
+			o.SetTracer(tr)
+		}
+		return o, o, nil, nil
+	default:
+		g, err := governor.New(string(cfg.Governor))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return g, nil, nil, nil
+	}
+}
+
+// bandwidthFor resolves the run's bandwidth model and RRC profile through
+// the viewer-local memo, falling back to the package caches. Trace-backed
+// runs bypass the memo: its (net, duration, seed) key cannot tell two
+// different recorded traces apart, and the trace is the caller's —
+// nothing to generate or cache.
+func (v *Viewer) bandwidthFor(cfg RunConfig) (netsim.Bandwidth, netsim.RRCConfig, error) {
+	bw, rrc := v.lastBW, v.lastRRC
+	if cfg.Net == NetTrace || bw == nil || cfg.Net != v.lastBWNet || cfg.Duration != v.lastBWDur || cfg.Seed != v.lastBWSeed {
+		var err error
+		if bw, rrc, err = buildBandwidth(cfg); err != nil {
+			return nil, rrc, err
+		}
+		if cfg.Net != NetTrace {
+			v.lastBWNet, v.lastBWDur, v.lastBWSeed = cfg.Net, cfg.Duration, cfg.Seed
+			v.lastBW, v.lastRRC = bw, rrc
+		}
+	}
+	if cfg.RRC != nil {
+		rrc = *cfg.RRC
+	}
+	return bw, rrc, nil
+}
+
+// renditionsFor resolves the run's rendition set through the viewer-local
+// memo (fixed-rung runs only; ladder runs keep a fresh stateful ABR
+// instance and hit the package cache for their streams).
+func (v *Viewer) renditionsFor(cfg RunConfig) ([]*video.Stream, abr.Algorithm, error) {
+	if cfg.Trace != nil {
+		if len(cfg.Trace.Frames) == 0 {
+			return nil, nil, fmt.Errorf("experiments: empty frame trace")
+		}
+		if v.traceRends == nil {
+			v.traceRends = make([]*video.Stream, 1)
+		}
+		v.traceRends[0] = cfg.Trace
+		return v.traceRends, abrFixed0, nil
+	}
+	switch cfg.ABR {
+	case "", ABRFixed:
+		fps := cfg.FPS
+		if fps == 0 {
+			fps = 30
+		}
+		key := streamKey{
+			title: cfg.Title,
+			rung:  cfg.Rung,
+			codec: cfg.Codec,
+			fps:   fps,
+			dur:   cfg.Duration,
+			seed:  cfg.Seed,
+		}
+		if v.lastRends != nil && key == v.lastRendKey {
+			return v.lastRends, abrFixed0, nil
+		}
+		streams, algo, err := buildRenditions(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		v.lastRendKey, v.lastRends = key, streams
+		return streams, algo, nil
+	default:
+		return buildRenditions(cfg)
+	}
 }
 
 // Start begins the viewer's playback at the engine's current time — its
@@ -263,7 +452,6 @@ func NewViewer(eng *sim.Engine, cfg RunConfig, opts ViewerOptions) (*Viewer, err
 // events for later ones.
 func (v *Viewer) Start() {
 	v.join = v.eng.Now()
-	v.started = true
 	v.ps.Start()
 }
 
@@ -275,11 +463,11 @@ func (v *Viewer) Done() bool { return v.done }
 // cap; valid after Start.
 func (v *Viewer) Deadline() sim.Time { return v.join + v.horizon }
 
-// handleDone runs inside the player's completion event: stop the
-// background load at the viewer's own end time (exactly what Run's stop
-// callback does), then hand off to the cohort — which collects now,
-// while the engine clock reads this viewer's end — WITHOUT stopping the
-// shared engine.
+// handleDone runs inside the player's completion event (or, through Cut,
+// the horizon-cut event): stop the background load at the viewer's own
+// end time, then hand off to OnDone — a cohort shard collects the result
+// there, while the engine clock reads this viewer's end, WITHOUT stopping
+// the shared engine; a Session stops its private engine there.
 func (v *Viewer) handleDone() {
 	if v.done {
 		return
@@ -305,47 +493,36 @@ func (v *Viewer) Cut() bool {
 	if v.done {
 		return false
 	}
-	v.done = true
-	v.cutOff = true
-	if v.bgActive {
-		v.bg.Stop()
-	}
-	if v.opts.OnDone != nil {
-		v.opts.OnDone()
-	}
+	v.handleDone()
 	return true
 }
 
-// Finish closes out a done viewer: energy accounting, the error and
-// invariant checks of Session.Finish in the same order, and the shared
-// collectResult path into res (reusing res's maps — the cohort passes
-// one scratch RunResult per shard, never one per viewer). Call it from
-// OnDone, while the engine clock still reads the viewer's end time.
+// Finish closes out a done viewer into res (reusing res's maps — the
+// cohort passes one scratch RunResult per shard, never one per viewer).
+// Call it from OnDone, while the engine clock still reads the viewer's
+// end time. A done viewer that did not complete was cut, so it reports
+// ErrHorizonExceeded.
 func (v *Viewer) Finish(res *RunResult) error {
 	if !v.done {
 		return fmt.Errorf("experiments: viewer still streaming; Finish belongs in OnDone")
 	}
+	return v.finish(res, true)
+}
+
+// finish is the one close-out path of a run: energy accounting, the error
+// and invariant checks in a fixed order, then collectResult into res. An
+// incomplete session fails with ErrHorizonExceeded only when atHorizon —
+// a Session passes whether its engine ran out to the horizon.
+func (v *Viewer) finish(res *RunResult, atHorizon bool) error {
 	defer v.teardown()
 	v.meter.Finish()
 	if err := v.ps.Err(); err != nil {
 		return fmt.Errorf("experiments: session: %w", err)
 	}
-	p := resultParts{
-		cfg:     v.cfg,
-		gov:     v.gov,
-		eaGov:   v.eaGov,
-		eng:     v.eng,
-		meter:   v.meter,
-		core:    v.core,
-		radio:   v.radio,
-		dl:      v.dl,
-		ps:      v.ps,
-		thermal: v.thermal,
-	}
-	if err := finalizeChecker(v.chk, p); err != nil {
+	if err := finalizeChecker(v); err != nil {
 		return err
 	}
-	if m := v.ps.Metrics(); !m.Completed {
+	if m := v.ps.Metrics(); !m.Completed && atHorizon {
 		return fmt.Errorf("experiments: %w: session at %d/%d frames when the %v horizon hit",
 			ErrHorizonExceeded, m.DisplayedFrames+m.DroppedFrames, m.TotalFrames, v.horizon)
 	}
@@ -355,14 +532,101 @@ func (v *Viewer) Finish(res *RunResult) error {
 	if v.bgActive && v.bg.Err() != nil {
 		return fmt.Errorf("experiments: background load: %w", v.bg.Err())
 	}
-	collectResult(p, res)
+	collectResult(v, res)
 	return nil
 }
 
-// teardown quiesces the viewer's recurring machinery in the shared
-// engine — thermal sampler, governor ticker — and detaches the checker
-// from the component tracers so post-finalize radio-tail events (which a
-// standalone Run's stopped engine never fires) cannot reach it.
+// finalizeChecker closes out an armed invariant checker against the
+// run's final ground truth; no checker is a no-op. Any violation is
+// returned wrapped exactly as strict Run reports it.
+func finalizeChecker(v *Viewer) error {
+	if v.chk == nil {
+		return nil
+	}
+	m := v.ps.Metrics()
+	counts := v.ps.Decoder().Counts()
+	rrcRes := make(map[string]sim.Time, 4)
+	for state, d := range v.radio.Residency() {
+		rrcRes[state.String()] = d
+	}
+	if viol := v.chk.Finalize(invariant.Final{
+		End:           v.eng.Now(),
+		CPUJ:          v.meter.ComponentJ(energy.ComponentCPU),
+		RadioJ:        v.meter.ComponentJ(energy.ComponentRadio),
+		DisplayJ:      v.meter.ComponentJ(energy.ComponentDisplay),
+		FreqResidency: v.core.FreqResidency(),
+		RRCResidency:  rrcRes,
+		IdleResidency: v.core.IdleStateResidency(),
+		Displayed:     m.DisplayedFrames,
+		Dropped:       m.DroppedFrames,
+		Total:         m.TotalFrames,
+		Decoded:       counts.Decoded,
+		Discarded:     counts.Discarded,
+		ReadyLeft:     v.ps.Decoder().ReadyLen(),
+		Completed:     m.Completed,
+	}); viol != nil {
+		return fmt.Errorf("experiments: strict: %w", viol)
+	}
+	return nil
+}
+
+// collectResult gathers a finished viewer's outcome into res, reusing
+// res's maps and slices when present.
+func collectResult(v *Viewer, res *RunResult) {
+	res.Governor = v.gov.Name()
+	res.CPUJ = v.meter.ComponentJ(energy.ComponentCPU)
+	res.RadioJ = v.meter.ComponentJ(energy.ComponentRadio)
+	res.DisplayJ = v.meter.ComponentJ(energy.ComponentDisplay)
+	res.QoE = v.ps.Metrics()
+	if res.FreqResidency == nil {
+		res.FreqResidency = make(map[int]sim.Time, len(v.cfg.Device.OPPs))
+	}
+	v.core.FreqResidencyInto(res.FreqResidency)
+	if res.RadioResidency == nil {
+		res.RadioResidency = make(map[netsim.RRCState]sim.Time, 4)
+	}
+	v.radio.ResidencyInto(res.RadioResidency)
+	res.RadioPromotions = v.radio.Promotions()
+	res.Fetches = v.dl.Fetches()
+	res.SimEnd = v.eng.Now()
+	res.MeanFreqGHz = meanFreqGHz(v.cfg.Device, res.FreqResidency)
+	if v.cfg.CStates {
+		if res.IdleResidency == nil {
+			res.IdleResidency = make(map[string]sim.Time, 4)
+		}
+		v.core.IdleStateResidencyInto(res.IdleResidency)
+	} else {
+		// A nil map, not an emptied one: it must compare equal to a fresh
+		// run's result, which never allocates the map without C-states.
+		res.IdleResidency = nil
+	}
+	res.OPPTransitions = v.core.Transitions()
+	res.MaxTempC, res.ThrottleEvents, res.ThrottledS = 0, 0, 0
+	if v.thermal != nil {
+		res.MaxTempC = v.thermal.MaxTempC()
+		res.ThrottleEvents = v.thermal.ThrottleEvents()
+		res.ThrottledS = v.thermal.ThrottledTime().Seconds()
+	}
+	if v.eaGov != nil {
+		// Copy the stats out: the governor's RelErr backing array is
+		// recycled by the next Reset, so the result must own its slice.
+		st := v.eaGov.PredStats()
+		if res.Pred == nil {
+			res.Pred = new(core.PredictionStats)
+		}
+		res.Pred.N = st.N
+		res.Pred.Underestimates = st.Underestimates
+		res.Pred.RelErr = append(res.Pred.RelErr[:0], st.RelErr...)
+	} else {
+		res.Pred = nil
+	}
+}
+
+// teardown quiesces the viewer's recurring machinery in its engine —
+// thermal sampler, governor ticker — and detaches the checker from the
+// component tracers so post-finalize radio-tail events (which a Session's
+// stopped engine never fires) cannot reach it. It is idempotent: Reset,
+// Finish and a Session's error paths all call it.
 func (v *Viewer) teardown() {
 	if v.thermal != nil {
 		v.thermal.Stop()

@@ -150,6 +150,3 @@ func (g *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -264,9 +264,6 @@ func (w *TimeWeighted) Mean() float64 {
 // Integral returns ∫ value dt over the observed span.
 func (w *TimeWeighted) Integral() float64 { return w.weighted }
 
-// Elapsed returns the total observed span.
-func (w *TimeWeighted) Elapsed() float64 { return w.elapsed }
-
 // Min returns the smallest value set (0 before any Set).
 func (w *TimeWeighted) Min() float64 { return w.min }
 
