@@ -53,6 +53,8 @@ fuzz-short:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzSessionReset$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/player -run '^$$' -fuzz '^FuzzForecastSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeSweepRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeCohortRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
 
 # Rebuild the full 30-experiment evaluation with the invariant checker

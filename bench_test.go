@@ -35,7 +35,7 @@ func benchExperiment(b *testing.B, id string) {
 	var tab experiments.Table
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tab, err = builder()
+		tab, err = builder(experiments.Run)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func benchRegistry(b *testing.B, workers int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			jobs[j] = func() (experiments.Table, error) { return builder() }
+			jobs[j] = func() (experiments.Table, error) { return builder(experiments.Run) }
 		}
 		outs := campaign.Do(jobs, campaign.Options[experiments.Table]{Workers: workers})
 		if _, err := campaign.Values(outs); err != nil {

@@ -28,6 +28,7 @@ import (
 	"videodvfs/internal/experiments"
 	"videodvfs/internal/profiling"
 	"videodvfs/internal/trace"
+	"videodvfs/internal/video"
 )
 
 func main() {
@@ -58,17 +59,9 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProf()
-	if *strict {
-		// Experiments build their RunConfigs internally, so strict mode is
-		// armed process-wide rather than per-config.
-		defer experiments.SetStrictDefault(experiments.SetStrictDefault(true))
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			return err
-		}
-		experiments.SetTraceFactory(traceDirFactory(*traceDir))
-		defer experiments.SetTraceFactory(nil)
+	runFn, err := newRunner(experiments.Run, *strict, *traceDir)
+	if err != nil {
+		return err
 	}
 	if *list {
 		for _, id := range videodvfs.ExperimentIDs() {
@@ -89,7 +82,11 @@ func run(args []string) error {
 		id := id
 		format := *format
 		jobs[i] = func() (string, error) {
-			tab, err := videodvfs.Experiment(id)
+			build, err := experiments.Get(id)
+			if err != nil {
+				return "", err
+			}
+			tab, err := build(runFn)
 			if err != nil {
 				return "", err
 			}
@@ -112,31 +109,68 @@ func run(args []string) error {
 	return nil
 }
 
-// traceDirFactory returns a process-wide trace factory writing one JSONL
-// file per simulation run into dir. Files are named from the run's
-// config axes (governor, network, rung, seed) plus a per-name sequence
-// number; the sequence assignment is serialized, but with concurrent
-// experiments the mapping of sequence numbers to runs depends on
-// completion order. Each file's *contents* remain deterministic.
-func traceDirFactory(dir string) experiments.TraceFactory {
+// newRunner returns the run function every experiment simulates
+// through: base, wrapped for -strict and -trace-dir when set.
+func newRunner(base experiments.RunFunc, strict bool, traceDir string) (experiments.RunFunc, error) {
+	fn := base
+	if strict {
+		fn = strictRunner(fn)
+	}
+	if traceDir != "" {
+		if err := os.MkdirAll(traceDir, 0o755); err != nil {
+			return nil, err
+		}
+		fn = traceDirRunner(traceDir, fn)
+	}
+	return fn, nil
+}
+
+// strictRunner wraps next so every run audits its event stream against
+// the simulator's invariants; a breach fails the run.
+func strictRunner(next experiments.RunFunc) experiments.RunFunc {
+	return func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		cfg.Strict = true
+		return next(cfg)
+	}
+}
+
+// traceDirRunner wraps next so every run writes its event trace as one
+// JSONL file into dir, named <gov>_<net>_<rung>_seed<seed>_<seq>.jsonl
+// from the run's config axes plus a per-name sequence number. The
+// sequence assignment is serialized, but with concurrent runs the mapping
+// of sequence numbers to runs depends on scheduling order. Each file's
+// contents remain deterministic. A config that already carries a Tracer
+// keeps it and gets no file.
+func traceDirRunner(dir string, next experiments.RunFunc) experiments.RunFunc {
 	var mu sync.Mutex
 	seq := make(map[string]int)
-	return func(cfg experiments.RunConfig) (trace.Tracer, func() error) {
-		net := cfg.Net
+	return func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		if cfg.Tracer != nil {
+			return next(cfg)
+		}
+		// Name the file after the axes the run resolves, defaults included.
+		net, rung := cfg.Net, cfg.Rung.Name
 		if net == "" {
 			net = experiments.NetWiFi
 		}
-		base := fmt.Sprintf("%s_%s_%s_seed%d", cfg.Governor, net, cfg.Rung.Name, cfg.Seed)
+		if rung == "" {
+			rung = video.R720p.Name
+		}
+		base := fmt.Sprintf("%s_%s_%s_seed%d", cfg.Governor, net, rung, cfg.Seed)
 		mu.Lock()
 		n := seq[base]
 		seq[base] = n + 1
 		mu.Unlock()
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s_%03d.jsonl", base, n)))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "exprun: trace:", err)
-			return nil, nil
+			return experiments.RunResult{}, fmt.Errorf("trace: %w", err)
 		}
 		sink := trace.NewJSONL(f)
-		return sink, sink.Close
+		cfg.Tracer = sink
+		res, err := next(cfg)
+		if cerr := sink.Close(); cerr != nil && err == nil {
+			return experiments.RunResult{}, fmt.Errorf("trace sink: %w", cerr)
+		}
+		return res, err
 	}
 }

@@ -33,10 +33,15 @@ func RunAll(cfgs []RunConfig, workers int) []Outcome {
 
 // RunAllObserved is RunAll with a progress observer attached.
 func RunAllObserved(cfgs []RunConfig, workers int, obs campaign.Observer) []Outcome {
+	return runAll(Run, cfgs, workers, obs)
+}
+
+// runAll fans cfgs out through run across the campaign pool.
+func runAll(run RunFunc, cfgs []RunConfig, workers int, obs campaign.Observer) []Outcome {
 	jobs := make([]campaign.Job[RunResult], len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
-		jobs[i] = func() (RunResult, error) { return Run(cfg) }
+		jobs[i] = func() (RunResult, error) { return run(cfg) }
 	}
 	raw := campaign.Do(jobs, campaign.Options[RunResult]{
 		Workers:  workers,
@@ -50,12 +55,12 @@ func RunAllObserved(cfgs []RunConfig, workers int, obs campaign.Observer) []Outc
 	return outs
 }
 
-// runAllStrict batches cfgs across GOMAXPROCS workers and returns results
-// in input order, failing on the first per-run error. It is the builders'
-// workhorse: table code assembles its config grid, fans it out here, and
-// formats rows from the ordered results.
-func runAllStrict(cfgs []RunConfig) ([]RunResult, error) {
-	outs := RunAll(cfgs, 0)
+// runAllStrict batches cfgs through run across GOMAXPROCS workers and
+// returns results in input order, failing on the first per-run error. It
+// is the builders' workhorse: table code assembles its config grid, fans
+// it out here, and formats rows from the ordered results.
+func runAllStrict(run RunFunc, cfgs []RunConfig) ([]RunResult, error) {
+	outs := runAll(run, cfgs, 0, nil)
 	res := make([]RunResult, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -95,10 +100,12 @@ func SeedRange(lo, hi int64) []int64 {
 		return nil
 	}
 	out := make([]int64, 0, hi-lo+1)
-	for s := lo; s <= hi; s++ {
+	for s := lo; ; s++ { // s <= hi would never fail at hi = MaxInt64
 		out = append(out, s)
+		if s == hi {
+			return out
+		}
 	}
-	return out
 }
 
 // Expand returns every point of the sweep as a concrete RunConfig.

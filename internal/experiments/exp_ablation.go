@@ -9,7 +9,7 @@ import (
 
 // FigF7 reproduces Figure 7: energy vs decode-ahead buffer depth (the
 // slack-store ablation).
-func FigF7() (Table, error) {
+func FigF7(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f7",
 		Title:  "Energy-aware policy vs decoded-buffer depth (720p@30)",
@@ -22,7 +22,7 @@ func FigF7() (Table, error) {
 		cfgs[i] = DefaultRunConfig()
 		cfgs[i].DecodedQueueCap = depth
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f7: %w", err)
 	}
@@ -37,7 +37,7 @@ func FigF7() (Table, error) {
 
 // FigF8 reproduces Figure 8: the safety-margin sweep trading energy
 // against deadline misses.
-func FigF8() (Table, error) {
+func FigF8(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f8",
 		Title:  "Safety-margin sweep (720p@30, 2-frame decode buffer): energy vs dropped frames",
@@ -60,7 +60,7 @@ func FigF8() (Table, error) {
 		pol.SigmaK = p.sigmaK
 		cfgs[i].Policy = pol
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f8: %w", err)
 	}
@@ -81,7 +81,7 @@ func FigF8() (Table, error) {
 
 // FigF9 reproduces Figure 9: predictor-family ablation across content
 // titles.
-func FigF9() (Table, error) {
+func FigF9(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f9",
 		Title:  "Demand-predictor ablation × content title (720p@30, 2-frame decode buffer)",
@@ -109,7 +109,7 @@ func FigF9() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f9: %w", err)
 	}

@@ -12,7 +12,7 @@ import (
 // The channel-hold time per segment fetch comes from the single-user radio
 // simulation of each T3 configuration, so the chain is end-to-end: player
 // prefetch policy → RRC hold time → cell capacity.
-func TableT5() (Table, error) {
+func TableT5(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t5",
 		Title:  "Cell capacity (64 channel pairs, 2% blocking): analytic M/G/N vs multi-user simulation",
@@ -40,7 +40,7 @@ func TableT5() (Table, error) {
 		cfg.RRC = &rrc
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t5: %w", err)
 	}

@@ -137,7 +137,7 @@ func RunCluster(res video.Resolution, dur sim.Time, seed int64, clusterAware boo
 // FigF15 reproduces Figure 15 (extension): the big.LITTLE placement
 // extension. On content the little cluster can sustain, routing decode
 // there cuts CPU energy well below the big-cluster-only policy.
-func FigF15() (Table, error) {
+func FigF15(_ RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f15",
 		Title:  "big.LITTLE extension (60 s sports): decode placement across clusters",

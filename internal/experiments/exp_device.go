@@ -10,7 +10,7 @@ import (
 
 // TableT1 reproduces Table 1: the device OPP table (frequency, voltage,
 // busy and idle power per operating point).
-func TableT1() (Table, error) {
+func TableT1(_ RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t1",
 		Title:  "Device OPP tables: frequency, voltage, power",
@@ -31,7 +31,7 @@ func TableT1() (Table, error) {
 // FigF1 reproduces Figure 1: the measured power-vs-frequency curve of the
 // flagship device, including energy per cycle (the quantity DVFS trades
 // on).
-func FigF1() (Table, error) {
+func FigF1(_ RunFunc) (Table, error) {
 	dev := cpu.DeviceFlagship()
 	t := Table{
 		ID:     "f1",
@@ -54,7 +54,7 @@ func FigF1() (Table, error) {
 
 // FigF2 reproduces Figure 2: mean per-frame decode time versus CPU
 // frequency for each resolution, against the 33.3 ms frame budget.
-func FigF2() (Table, error) {
+func FigF2(_ RunFunc) (Table, error) {
 	dev := cpu.DeviceFlagship()
 	t := Table{
 		ID:     "f2",

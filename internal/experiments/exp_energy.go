@@ -13,7 +13,7 @@ func headlineGovernors() []GovernorID {
 // runGrid sweeps the governors across the resolution ladder with the
 // given seeds in one campaign batch and returns mean CPU energy and mean
 // drop rate per governor per resolution.
-func runGrid(govs []GovernorID, seeds []int64) (map[GovernorID]map[string]float64, map[GovernorID]map[string]float64, error) {
+func runGrid(run RunFunc, govs []GovernorID, seeds []int64) (map[GovernorID]map[string]float64, map[GovernorID]map[string]float64, error) {
 	sw := Sweep{
 		Base:      DefaultRunConfig(),
 		Governors: govs,
@@ -21,7 +21,7 @@ func runGrid(govs []GovernorID, seeds []int64) (map[GovernorID]map[string]float6
 		Seeds:     seeds,
 	}
 	cfgs := sw.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -58,14 +58,14 @@ func headlineSeeds() []int64 { return []int64{1, 2, 3} }
 
 // FigF5 reproduces Figure 5 (headline): CPU energy per governor across
 // resolutions, with savings relative to ondemand.
-func FigF5() (Table, error) {
+func FigF5(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f5",
 		Title:  "CPU energy (J) by governor × resolution, 60 s sports @30fps, mean of 3 seeds",
 		Header: []string{"governor", "360p", "480p", "720p", "1080p", "720p_vs_ondemand"},
 		Notes:  "energy-aware saves ≈20–40% vs ondemand/interactive; only powersave and the oracle sit lower, and powersave drops frames (see f6)",
 	}
-	rows, _, err := runGrid(headlineGovernors(), headlineSeeds())
+	rows, _, err := runGrid(run, headlineGovernors(), headlineSeeds())
 	if err != nil {
 		return Table{}, err
 	}
@@ -85,14 +85,14 @@ func FigF5() (Table, error) {
 
 // FigF6 reproduces Figure 6: dropped-frame rate per governor across
 // resolutions (the QoE guardrail of the headline figure).
-func FigF6() (Table, error) {
+func FigF6(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f6",
 		Title:  "Dropped-frame rate by governor × resolution (same runs as f5)",
 		Header: []string{"governor", "360p", "480p", "720p", "1080p"},
 		Notes:  "powersave collapses at 720p/1080p; energy-aware matches performance (≈0%) everywhere",
 	}
-	_, drops, err := runGrid(headlineGovernors(), headlineSeeds())
+	_, drops, err := runGrid(run, headlineGovernors(), headlineSeeds())
 	if err != nil {
 		return Table{}, err
 	}
@@ -107,14 +107,14 @@ func FigF6() (Table, error) {
 
 // FigF12 reproduces Figure 12: how close the online policy comes to the
 // offline oracle across resolutions.
-func FigF12() (Table, error) {
+func FigF12(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f12",
 		Title:  "Energy-aware vs offline oracle: CPU energy gap by resolution",
 		Header: []string{"resolution", "energyaware_j", "oracle_j", "gap"},
 		Notes:  "the online policy lands within ~5–20% of the clairvoyant lower bound",
 	}
-	rows, _, err := runGrid([]GovernorID{GovEnergyAware, GovOracle}, headlineSeeds())
+	rows, _, err := runGrid(run, []GovernorID{GovEnergyAware, GovOracle}, headlineSeeds())
 	if err != nil {
 		return Table{}, err
 	}

@@ -13,7 +13,7 @@ import (
 // shifts energy from the radio (fewer bits) to the CPU (heavier decode);
 // whether it wins at the device level depends on the network, so both a
 // cheap and an expensive link are shown.
-func FigF17() (Table, error) {
+func FigF17(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f17",
 		Title:  "Codec trade (720p sports, 120 s, energy-aware): H.264 vs HEVC",
@@ -30,7 +30,7 @@ func FigF17() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f17: %w", err)
 	}
@@ -48,7 +48,7 @@ func FigF17() (Table, error) {
 // FigF18 reproduces Figure 18 (extension): generality across device
 // classes. The relative saving holds on mid-range and efficiency-core
 // hardware, not just the flagship the base case uses.
-func FigF18() (Table, error) {
+func FigF18(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f18",
 		Title:  "Device generality (480p sports, 60 s): energy-aware vs ondemand per device class",
@@ -66,7 +66,7 @@ func FigF18() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f18: %w", err)
 	}
@@ -88,7 +88,7 @@ func FigF18() (Table, error) {
 // FigF19 reproduces Figure 19 (extension): low-latency live streaming.
 // With a 4 s buffer and a 3-frame decode-ahead queue the slack store
 // shrinks, so savings compress but persist — and QoE parity still holds.
-func FigF19() (Table, error) {
+func FigF19(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f19",
 		Title:  "Low-latency live mode (720p, 120 s, 1 s startup / 4 s buffer / 3-frame queue)",
@@ -99,7 +99,7 @@ func FigF19() (Table, error) {
 	base.Duration = 120 * sim.Second
 	base.LowLatency = true
 	cfgs := Sweep{Base: base, Governors: []GovernorID{GovPerformance, GovOndemand, GovInteractive, GovEnergyAware, GovOracle}}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f19: %w", err)
 	}

@@ -15,7 +15,7 @@ import (
 // governors, so the table pins both the radio-side win (DCH residency
 // and radio energy drop at iso-rebuffer) and the graceful degradation of
 // imperfect predictions toward the reactive baseline.
-func TableT9() (Table, error) {
+func TableT9(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t9",
 		Title:  "Predictive prefetch (720p@30, LTE fading link, 120 s): forecast quality × governor",
@@ -54,7 +54,7 @@ func TableT9() (Table, error) {
 			labels = append(labels, v.label)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t9: %w", err)
 	}

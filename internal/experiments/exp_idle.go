@@ -10,7 +10,7 @@ import (
 // energy-aware policy running near the sustained rate. On a convex power
 // curve pacing wins even against ideal deep idle — the quantitative
 // justification for frequency scaling over pure sleep-state policies.
-func FigF16() (Table, error) {
+func FigF16(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f16",
 		Title:  "Race-to-idle vs pacing (720p@30, 60 s): fmax+deep-sleep against low-frequency pacing",
@@ -26,7 +26,7 @@ func FigF16() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f16: %w", err)
 	}

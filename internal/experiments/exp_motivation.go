@@ -43,10 +43,10 @@ func oppFreqs(cfg RunConfig) []float64 {
 // FigF3 reproduces Figure 3 (motivation): where the stock ondemand
 // governor spends its time during 720p streaming versus the frequency the
 // content actually needs.
-func FigF3() (Table, error) {
+func FigF3(run RunFunc) (Table, error) {
 	cfg := DefaultRunConfig()
 	cfg.Governor = "ondemand"
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		return Table{}, err
 	}
@@ -82,7 +82,7 @@ func motivationGovernors() []GovernorID {
 
 // FigF4 reproduces Figure 4: frequency-residency distribution per
 // governor during 720p streaming.
-func FigF4() (Table, error) {
+func FigF4(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f4",
 		Title:  "Frequency residency by governor (720p@30, 8 Mbps)",
@@ -91,7 +91,7 @@ func FigF4() (Table, error) {
 	}
 	sw := Sweep{Base: DefaultRunConfig(), Governors: motivationGovernors()}
 	cfgs := sw.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f4: %w", err)
 	}

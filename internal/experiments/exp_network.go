@@ -12,7 +12,7 @@ import (
 
 // FigF10 reproduces Figure 10: the policy's savings across network
 // conditions.
-func FigF10() (Table, error) {
+func FigF10(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f10",
 		Title:  "Network variability (720p@30, 120 s): energy and stalls by network × governor",
@@ -29,7 +29,7 @@ func FigF10() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f10: %w", err)
 	}
@@ -45,7 +45,7 @@ func FigF10() (Table, error) {
 }
 
 // FigF11 reproduces Figure 11: whole-device energy breakdown per policy.
-func FigF11() (Table, error) {
+func FigF11(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f11",
 		Title:  "Whole-device energy breakdown (720p, LTE trace, 120 s)",
@@ -56,7 +56,7 @@ func FigF11() (Table, error) {
 	baseCfg.Net = NetLTE
 	baseCfg.Duration = 120 * sim.Second
 	cfgs := Sweep{Base: baseCfg, Governors: []GovernorID{GovPerformance, GovOndemand, GovInteractive, GovEnergyAware, GovOracle}}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f11: %w", err)
 	}
@@ -82,7 +82,7 @@ func FigF11() (Table, error) {
 // TableT3 reproduces Table 3: radio-resource coordination — DCH hold
 // time, radio energy, and the M/G/N cell-capacity gain from fast dormancy
 // between segment bursts.
-func TableT3() (Table, error) {
+func TableT3(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t3",
 		Title:  "Radio coordination (720p, 8 Mbps HSPA, 180 s): prefetch policy × dormancy",
@@ -111,7 +111,7 @@ func TableT3() (Table, error) {
 		cfg.RRC = &rrc
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t3: %w", err)
 	}
@@ -166,7 +166,7 @@ var refBWTraceOnce = sync.OnceValues(func() (netsim.Trace, error) {
 // TableT8 extends the evaluation to recorded real-network conditions:
 // governor comparison over a trace captured from live HTTP delivery
 // (the dvfsstress pair), replayed bit-exactly by the trace backend.
-func TableT8() (Table, error) {
+func TableT8(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t8",
 		Title:  "Recorded-trace replay (720p@30, 30 s, 12 Mbps ON-OFF capture): energy and QoE by governor",
@@ -187,7 +187,7 @@ func TableT8() (Table, error) {
 		cfg.Duration = 30 * sim.Second
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t8: %w", err)
 	}

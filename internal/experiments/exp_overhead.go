@@ -9,7 +9,7 @@ import "fmt"
 // queue-setpoint rule is *more* stable than ondemand's oscillation, and
 // even a 1 mJ/switch cost (50–1000× published PLL/voltage-ramp figures)
 // leaves the policy far ahead.
-func FigF20() (Table, error) {
+func FigF20(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f20",
 		Title:  "DVFS-switch overhead sensitivity (720p@30, 60 s): energy including a per-switch cost",
@@ -17,7 +17,7 @@ func FigF20() (Table, error) {
 		Notes:  "the per-frame policy switches less than ondemand (its setpoint rule is stable where ondemand oscillates); even a 1 mJ/switch cost leaves it far ahead",
 	}
 	cfgs := Sweep{Base: DefaultRunConfig(), Governors: []GovernorID{GovOndemand, GovInteractive, GovSchedutil, GovEnergyAware, GovOracle}}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f20: %w", err)
 	}

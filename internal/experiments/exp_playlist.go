@@ -177,7 +177,7 @@ func RunPlaylist(cfg PlaylistConfig) (PlaylistResult, error) {
 // TableT7 reproduces Table 7 (extension): the whole usage session —
 // watch, pause, watch — where radio tails during think time meet the CPU
 // policy during playback.
-func TableT7() (Table, error) {
+func TableT7(_ RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t7",
 		Title:  "Usage session (3 × 60 s clips, 30 s think time, UMTS): policy × dormancy",

@@ -13,7 +13,7 @@ func qoeGovernors() []GovernorID {
 
 // TableT2 reproduces Table 2: the QoE summary per policy on a variable
 // LTE link with buffer-based ABR.
-func TableT2() (Table, error) {
+func TableT2(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t2",
 		Title:  "QoE summary per policy (LTE Markov trace, BBA ABR, 120 s sports)",
@@ -25,7 +25,7 @@ func TableT2() (Table, error) {
 	base.ABR = "bba"
 	base.Duration = 120 * sim.Second
 	cfgs := Sweep{Base: base, Governors: qoeGovernors()}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t2: %w", err)
 	}
@@ -47,7 +47,7 @@ func TableT2() (Table, error) {
 
 // FigF13 reproduces Figure 13: ABR × governor interaction on the LTE
 // trace.
-func FigF13() (Table, error) {
+func FigF13(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f13",
 		Title:  "ABR interaction (LTE trace, 120 s): energy and QoE by ABR × governor",
@@ -65,7 +65,7 @@ func FigF13() (Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f13: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 // segment duration — consolidation must come from burst prefetching (T3).
 // What segment duration does change is ABR agility: long segments commit
 // to a rate for longer and stall when the LTE trace dips.
-func TableT6() (Table, error) {
+func TableT6(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "t6",
 		Title:  "Segment duration trade (720p, LTE trace, BBA, 120 s)",
@@ -29,7 +29,7 @@ func TableT6() (Table, error) {
 		cfgs[i].Duration = 120 * sim.Second
 		cfgs[i].SegmentDur = segDur
 	}
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t6: %w", err)
 	}

@@ -100,7 +100,7 @@ func RunSMP(cores int, res video.Resolution, dur sim.Time, seed int64) (SMPResul
 // cannot gate. Streaming belongs consolidated on one core (with the rest
 // power-collapsed or hotplugged), which is what the single-core base case
 // models.
-func FigF21() (Table, error) {
+func FigF21(_ RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f21",
 		Title:  "Shared-clock SMP (720p sports, 60 s, energy-aware): cores vs interference",

@@ -12,7 +12,7 @@ import (
 // a realistic thermal envelope. Utilization-reactive governors push the
 // die past the trip and get power-budget throttled; the energy-aware
 // policy runs cool enough to stay out of the throttle region entirely.
-func FigF14() (Table, error) {
+func FigF14(run RunFunc) (Table, error) {
 	t := Table{
 		ID:     "f14",
 		Title:  "Thermal envelope (1080p sports, 300 s, trip 62 °C): heat and throttling by governor",
@@ -26,7 +26,7 @@ func FigF14() (Table, error) {
 	th.TripC = 62 // tight flagship skin budget: sustained 1080p is marginal
 	base.Thermal = &th
 	cfgs := Sweep{Base: base, Governors: []GovernorID{GovPerformance, GovOndemand, GovInteractive, GovSchedutil, GovEnergyAware}}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("f14: %w", err)
 	}
@@ -46,7 +46,7 @@ func FigF14() (Table, error) {
 // TableT4 reproduces Table 4 (extension): streaming battery life per
 // policy — hours of 720p LTE playback from a 3000 mAh / 3.8 V battery,
 // derived from the whole-device mean power of a 120 s session.
-func TableT4() (Table, error) {
+func TableT4(run RunFunc) (Table, error) {
 	const batteryWh = 3.0 * 3.8 // 3000 mAh at 3.8 V nominal
 	t := Table{
 		ID:     "t4",
@@ -59,7 +59,7 @@ func TableT4() (Table, error) {
 	baseCfg.ABR = "bba"
 	baseCfg.Duration = 120 * sim.Second
 	cfgs := Sweep{Base: baseCfg, Governors: []GovernorID{GovPerformance, GovOndemand, GovInteractive, GovEnergyAware, GovOracle}}.Expand()
-	results, err := runAllStrict(cfgs)
+	results, err := runAllStrict(run, cfgs)
 	if err != nil {
 		return Table{}, fmt.Errorf("t4: %w", err)
 	}

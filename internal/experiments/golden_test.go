@@ -34,7 +34,6 @@ func TestGoldenTables(t *testing.T) {
 	// byte-identical output, every run must also satisfy the simulator's
 	// conservation laws (DESIGN.md §10). Strict mode only observes the
 	// event stream, so it cannot change the tables.
-	defer SetStrictDefault(SetStrictDefault(true))
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -42,7 +41,7 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := b()
+			tab, err := b(strictRun)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,8 +5,15 @@ import (
 	"sort"
 )
 
-// Builder produces one experiment's table.
-type Builder func() (Table, error)
+// RunFunc executes one simulation. Run is the stock one; callers wrap it
+// to arm strict mode, attach a per-run tracer, or swap the arena, and hand
+// the wrapper to a Builder.
+type RunFunc func(RunConfig) (RunResult, error)
+
+// Builder produces one experiment's table, simulating only through run.
+// The rigs that drive their own engine (t1, f1, f2, f15, f21, t7) ignore
+// it.
+type Builder func(run RunFunc) (Table, error)
 
 // registry maps experiment IDs to builders. IDs follow the reconstructed
 // evaluation's numbering (see DESIGN.md §4).

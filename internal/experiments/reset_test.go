@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"videodvfs/internal/cpu"
@@ -193,18 +194,23 @@ func TestSessionResetAfterError(t *testing.T) {
 	}
 }
 
-// TestDifferentialRegistry runs the entire 30-entry experiment registry
-// twice — once with arena recycling disabled (every Run constructs a fresh
-// simulator) and once through the default recycled pool — and requires
+// ownRigs are the registry entries that drive their own engine and never
+// simulate through the builder's run function.
+var ownRigs = map[string]bool{"t1": true, "f1": true, "f2": true, "f15": true, "f21": true, "t7": true}
+
+// TestDifferentialRegistry builds the entire 30-entry experiment registry
+// twice — once through a run function that constructs a fresh simulator
+// per run and once through the default recycled pool — and requires
 // byte-identical formatted tables. This is the broadest net: every device,
 // governor, network, codec, thermal, idle, SMP, and cluster configuration
 // the evaluation exercises must survive session recycling, with the
-// invariant checker armed process-wide.
+// invariant checker armed on every run. The fresh runner counts its calls,
+// so a builder that bypasses its run function (and would compare recycled
+// with recycled) fails here.
 func TestDifferentialRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry differential is not a -short test")
 	}
-	defer SetStrictDefault(SetStrictDefault(true))
 
 	for _, id := range IDs() {
 		builder, err := Get(id)
@@ -212,14 +218,24 @@ func TestDifferentialRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		prev := SetSessionReuse(false)
-		freshTab, freshErr := builder()
-		SetSessionReuse(prev)
+		var calls atomic.Int64
+		freshTab, freshErr := builder(func(cfg RunConfig) (RunResult, error) {
+			calls.Add(1)
+			cfg.Strict = true
+			var res RunResult
+			if err := NewSession().RunInto(cfg, &res); err != nil {
+				return RunResult{}, err
+			}
+			return res, nil
+		})
 		if freshErr != nil {
 			t.Fatalf("%s (fresh sessions): %v", id, freshErr)
 		}
+		if n := calls.Load(); (n > 0) == ownRigs[id] {
+			t.Errorf("%s: fresh runner called %d times; want >0 for a Run-backed experiment, 0 for an own-engine rig", id, n)
+		}
 
-		recycledTab, err := builder()
+		recycledTab, err := builder(strictRun)
 		if err != nil {
 			t.Fatalf("%s (recycled sessions): %v", id, err)
 		}

@@ -536,7 +536,7 @@ var newChecker = invariant.New
 // otherwise), grounding it in the run's static truth: the device's OPP
 // table and, when the cpuidle model is on, the C-state ladder.
 func buildChecker(cfg RunConfig) *invariant.Checker {
-	if !cfg.Strict && !strictDefault() {
+	if !cfg.Strict {
 		return nil
 	}
 	ic := invariant.Config{OPPFreqsHz: make([]float64, len(cfg.Device.OPPs))}
@@ -557,16 +557,10 @@ func buildChecker(cfg RunConfig) *invariant.Checker {
 //
 // Run serves from a pool of arena Sessions (see Session): repeated calls
 // recycle whole simulation instances instead of reconstructing them. The
-// results are identical either way — SetSessionReuse(false) forces a fresh
-// arena per call (the differential tests pin the equivalence).
+// results are identical to a fresh arena's, NewSession().RunInto (the
+// differential tests pin the equivalence).
 func Run(cfg RunConfig) (RunResult, error) {
 	var res RunResult
-	if sessionReuseOff.Load() {
-		if err := NewSession().RunInto(cfg, &res); err != nil {
-			return RunResult{}, err
-		}
-		return res, nil
-	}
 	s := sessionPool.Get().(*Session)
 	err := s.RunInto(cfg, &res)
 	// Not returned on panic: a torn-down arena must not re-enter the pool.

@@ -248,7 +248,7 @@ func TestAllExperimentsBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := b()
+		tab, err := b(Run)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -321,7 +321,7 @@ func TestHeadlineGridShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid is a long test")
 	}
-	eg, dg, err := runGrid([]GovernorID{GovEnergyAware}, []int64{1})
+	eg, dg, err := runGrid(Run, []GovernorID{GovEnergyAware}, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"videodvfs/internal/invariant"
 	"videodvfs/internal/sim"
@@ -16,9 +15,9 @@ import (
 // instead of being reconstructed per run; stream and bandwidth tables are
 // shared immutably across resets (and across arenas, via the package
 // caches). The Session itself adds only the single-run concerns: the
-// engine and its event slab, tracer resolution (trace factory, checker
-// tee, batcher), the OnSample probe, the Cancel poller, and stopping the
-// engine when the viewer finishes.
+// engine and its event slab, tracer resolution (checker tee, batcher),
+// the OnSample probe, the Cancel poller, and stopping the engine when the
+// viewer finishes.
 //
 // A Session is single-goroutine: drive it with Reset+Finish or RunInto.
 // The package-level Run draws Sessions from an internal pool, so campaign
@@ -46,11 +45,9 @@ type Session struct {
 // runState is the per-run wiring established by Reset and consumed by
 // Finish.
 type runState struct {
-	batch      *trace.Batcher // nil when the run is untraced
-	closeTrace func() error
-	closed     bool
-	armed      bool
-	canceled   bool
+	batch    *trace.Batcher // nil when the run is untraced
+	armed    bool
+	canceled bool
 }
 
 // NewSession returns an empty arena. The simulator parts are built on the
@@ -73,17 +70,6 @@ func NewSession() *Session {
 
 // sessionPool recycles arenas across Run calls.
 var sessionPool = sync.Pool{New: func() any { return NewSession() }}
-
-// sessionReuseOff disables the arena pool when set (fresh Session per Run).
-// Inverted so the zero value means "reuse on".
-var sessionReuseOff atomic.Bool
-
-// SetSessionReuse toggles arena recycling in Run and returns the previous
-// setting. Reuse is on by default; the differential tests switch it off to
-// produce fresh-simulator references.
-func SetSessionReuse(on bool) (prev bool) {
-	return !sessionReuseOff.Swap(!on)
-}
 
 // RunInto executes one simulation in this arena, writing the outcome into
 // res. Maps and slices already present in res are reused (cleared and
@@ -138,17 +124,10 @@ func (s *Session) Reset(cfg RunConfig) error {
 	return nil
 }
 
-// tracerFor is the viewer's tracer resolution for a Session run: an
-// explicit cfg.Tracer, else the process-wide trace factory's, teed behind
-// the checker and batched.
+// tracerFor is the viewer's tracer resolution for a Session run:
+// cfg.Tracer teed behind the checker and batched.
 func (s *Session) tracerFor(cfg RunConfig, chk *invariant.Checker) trace.Tracer {
-	tr := cfg.Tracer
-	if tr == nil {
-		if f := currentTraceFactory(); f != nil {
-			tr, s.run.closeTrace = f(cfg)
-		}
-	}
-	tr = teeChecker(chk, tr)
+	tr := teeChecker(chk, cfg.Tracer)
 	if tr == nil {
 		return nil
 	}
@@ -178,27 +157,14 @@ func (s *Session) Finish(res *RunResult) error {
 	if s.run.batch != nil {
 		s.run.batch.Flush()
 	}
-	if s.run.closeTrace != nil {
-		s.run.closed = true
-		if err := s.run.closeTrace(); err != nil {
-			return fmt.Errorf("experiments: trace sink: %w", err)
-		}
-	}
 	if s.run.canceled {
 		return fmt.Errorf("experiments: %w at %v", ErrCanceled, s.eng.Now())
 	}
 	return s.v.finish(res, end >= s.v.horizon)
 }
 
-// release ends the run: the viewer's teardown plus, on error paths, a
-// best-effort flush and close of the trace sink.
+// release ends the run: the viewer's teardown and the per-run wiring.
 func (s *Session) release() {
-	if s.run.closeTrace != nil && !s.run.closed {
-		if s.run.batch != nil {
-			s.run.batch.Flush()
-		}
-		s.run.closeTrace() // error path: best-effort flush
-	}
 	s.v.teardown()
 	s.run = runState{}
 }

@@ -178,11 +178,18 @@ func TestTraceHorizonPrefixMetamorphic(t *testing.T) {
 	}
 }
 
+// strictRun is Run with the invariant checker armed: the run function the
+// registry-wide suites hand to every builder.
+func strictRun(cfg RunConfig) (RunResult, error) {
+	cfg.Strict = true
+	return Run(cfg)
+}
+
 // TestBatchStrict runs a Sweep-shaped batch through the campaign pool
 // with invariants armed on every run.
 func TestBatchStrict(t *testing.T) {
-	defer SetStrictDefault(SetStrictDefault(true))
 	base := DefaultRunConfig()
+	base.Strict = true
 	var cfgs []RunConfig
 	for _, gov := range []GovernorID{GovEnergyAware, GovOracle, "ondemand", "performance"} {
 		cfg := base

@@ -75,8 +75,9 @@ type Viewer struct {
 	doneFn       func()
 
 	// traceFor, when set, resolves the run's tracer around its invariant
-	// checker (an owning Session's trace factory, tee and batcher). When
-	// nil, the checker is teed with cfg.Tracer directly.
+	// checker: an owning Session tees cfg.Tracer behind the checker and
+	// batches the result. When nil (a cohort viewer), the checker is teed
+	// with cfg.Tracer directly.
 	traceFor func(cfg RunConfig, chk *invariant.Checker) trace.Tracer
 
 	// Per-run wiring, established by Reset.

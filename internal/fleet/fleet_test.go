@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,10 +84,16 @@ func slowRunner(d time.Duration) func(experiments.RunConfig) (experiments.RunRes
 // compared against.
 func testFleet(t *testing.T, n int, workerCfg server.Config, fcfg Config) (string, []*httptest.Server, string) {
 	t.Helper()
+	return testFleetWith(t, n, func(int) server.Config { return workerCfg }, fcfg)
+}
+
+// testFleetWith is testFleet with worker i configured by cfgFor(i).
+func testFleetWith(t *testing.T, n int, cfgFor func(i int) server.Config, fcfg Config) (string, []*httptest.Server, string) {
+	t.Helper()
 	var urls []string
 	var wts []*httptest.Server
 	for i := 0; i < n; i++ {
-		s := server.New(workerCfg)
+		s := server.New(cfgFor(i))
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()
@@ -186,22 +193,40 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // ejects it, rehashes its in-flight points onto the survivors, and the
 // merged response still matches the single-node bytes.
 func TestFleetSweepSurvivesWorkerKill(t *testing.T) {
-	ctlURL, workers, refURL := testFleet(t, 3,
-		server.Config{Runner: slowRunner(60 * time.Millisecond), Workers: 2},
-		Config{Retries: 3, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour})
+	// Each worker's scripted runner reports its first call. The ring
+	// hashes the workers' random-port URLs, so a given worker may own no
+	// sweep point at all; killing the first worker to start a run
+	// guarantees the victim holds an in-flight dispatch.
+	const n = 3
+	started := make(chan int, n)
+	var once [n]sync.Once
+	ctlURL, workers, refURL := testFleetWith(t, n, func(i int) server.Config {
+		slow := slowRunner(60 * time.Millisecond)
+		return server.Config{Workers: 2, Runner: func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+			once[i].Do(func() { started <- i })
+			return slow(cfg)
+		}}
+	}, Config{Retries: 3, Backoff: 5 * time.Millisecond, EjectAfter: 1, ProbeInterval: time.Hour})
 
-	// Kill one worker while the sweep's first wave is still sleeping in
-	// the scripted runner.
-	killed := make(chan struct{})
+	// Kill the victim while its first run is still sleeping in the
+	// scripted runner.
+	killed := make(chan int, 1)
 	go func() {
-		time.Sleep(25 * time.Millisecond)
-		workers[0].CloseClientConnections()
-		workers[0].Close()
-		close(killed)
+		select {
+		case i := <-started:
+			workers[i].CloseClientConnections()
+			workers[i].Close()
+			killed <- i
+		case <-time.After(10 * time.Second):
+			killed <- -1
+		}
 	}()
 
 	resp, fleetBody := post(t, ctlURL+"/v1/sweep", sweepReq)
-	<-killed
+	victim := <-killed
+	if victim < 0 {
+		t.Fatal("no worker started a run within 10s")
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet sweep status %d after kill: %s", resp.StatusCode, fleetBody)
 	}
@@ -215,7 +240,7 @@ func TestFleetSweepSurvivesWorkerKill(t *testing.T) {
 
 	// The dead worker must be gone from routing.
 	_, met := getBody(t, ctlURL+"/metrics")
-	if !strings.Contains(string(met), fmt.Sprintf("dvfsctl_worker_up{worker=%q} 0", workers[0].URL)) {
+	if !strings.Contains(string(met), fmt.Sprintf("dvfsctl_worker_up{worker=%q} 0", workers[victim].URL)) {
 		t.Fatalf("killed worker still marked up:\n%s", met)
 	}
 }

@@ -268,25 +268,28 @@ type SweepRequest struct {
 // Size returns how many runs the sweep expands to, without expanding —
 // the admission check happens before any per-point allocation.
 func (r SweepRequest) Size() int64 {
-	dim := func(n int) int64 {
-		if n == 0 {
-			return 1
-		}
-		return int64(n)
-	}
+	const clamp = 1 << 62 // returned instead of overflowing
 	seeds := int64(len(r.Seeds))
 	if r.SeedRange != nil && r.SeedRange[1] >= r.SeedRange[0] {
-		seeds = r.SeedRange[1] - r.SeedRange[0] + 1
+		// The span is exact in uint64 even where hi-lo overflows int64.
+		span := uint64(r.SeedRange[1]) - uint64(r.SeedRange[0])
+		if span >= clamp {
+			return clamp
+		}
+		seeds = int64(span) + 1
 	}
-	if seeds == 0 {
-		seeds = 1
+	size := int64(1)
+	for _, n := range []int64{int64(len(r.Governors)), int64(len(r.Nets)), int64(len(r.Devices)),
+		int64(len(r.Titles)), int64(len(r.Rungs)), seeds} {
+		if n == 0 {
+			continue // an unswept axis keeps the base value
+		}
+		if n > clamp/size {
+			return clamp
+		}
+		size *= n
 	}
-	size := dim(len(r.Governors)) * dim(len(r.Nets)) * dim(len(r.Devices)) *
-		dim(len(r.Titles)) * dim(len(r.Rungs))
-	if size > 0 && seeds > (1<<62)/size { // clamp instead of overflowing
-		return 1 << 62
-	}
-	return size * seeds
+	return size
 }
 
 // Configs expands the sweep into concrete validated RunConfigs.

@@ -71,8 +71,11 @@ type Config struct {
 	MaxCohortViewers int
 	// MaxBodyBytes bounds request bodies (≤0 = 1 MiB).
 	MaxBodyBytes int64
-	// Runner executes one simulation (nil = experiments.Run). Tests
-	// substitute it to script latency and failures.
+	// Runner executes one simulation (nil = experiments.Run). It is the
+	// server's one run path: /v1/run (traced or not), every /v1/sweep
+	// point and every simulation an /v1/experiments builder makes go
+	// through it. Tests substitute it to script latency and failures or
+	// to run each simulation on a fresh arena.
 	Runner func(experiments.RunConfig) (experiments.RunResult, error)
 }
 
@@ -920,7 +923,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			var o out
 			o.err = campaign.Protect(int(s.runSeq.Add(1)), func() error {
 				var err error
-				o.tab, err = builder()
+				o.tab, err = builder(s.cfg.Runner)
 				return err
 			})
 			s.met.observeRun(time.Since(t0), o.err)

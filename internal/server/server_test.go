@@ -514,11 +514,16 @@ func TestSweepRecycledSessionCacheBytes(t *testing.T) {
 	const sweepReq = `{"base": {"duration_s": 6, "seed": 9},
 		"governors": ["performance", "ondemand", "energyaware"], "seed_range": [9, 10]}`
 
-	defer experiments.SetSessionReuse(experiments.SetSessionReuse(false))
-	_, freshTS := newTestServer(t, Config{Workers: 2})
+	fresh := func(cfg experiments.RunConfig) (experiments.RunResult, error) {
+		var res experiments.RunResult
+		if err := experiments.NewSession().RunInto(cfg, &res); err != nil {
+			return experiments.RunResult{}, err
+		}
+		return res, nil
+	}
+	_, freshTS := newTestServer(t, Config{Workers: 2, Runner: fresh})
 	freshRuns := runSweepOutcomes(t, freshTS.URL, sweepReq)
 
-	experiments.SetSessionReuse(true)
 	_, recycledTS := newTestServer(t, Config{Workers: 2})
 	// Dirty the arena pool: runs whose device, network, idle model, and
 	// ABR all differ from the sweep's points.
@@ -577,7 +582,7 @@ func TestExperimentCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := builder()
+		direct, err := builder(experiments.Run)
 		if err != nil {
 			t.Fatal(err)
 		}

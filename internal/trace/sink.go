@@ -13,7 +13,7 @@ func appendFloat(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// writer is the shared buffered-output core of the sinks.
+// writer is the buffered-output core of the JSONL sink.
 type writer struct {
 	bw  *bufio.Writer
 	raw io.Writer
@@ -196,162 +196,3 @@ func (s *JSONLSink) Power(e PowerEvent) {
 }
 
 var _ Sink = (*JSONLSink)(nil)
-
-// csvHeader is the CSV sink's fixed wide-format column set. Columns not
-// applicable to an event are left empty.
-const csvHeader = "t,ev,frame,ftype,pred_cycles,slack_s,budget_s,opp,boost," +
-	"from,to,freq_mhz,deadline_s,cycles,state,segment,from_rung,to_rung," +
-	"rate_bps,level_s,ready,cap,component,watts"
-
-// csvCols is the number of columns in csvHeader.
-const csvCols = 24
-
-// Column indices into the CSV row (t and ev are 0 and 1).
-const (
-	colFrame = 2 + iota
-	colFType
-	colPredCycles
-	colSlackS
-	colBudgetS
-	colOPP
-	colBoost
-	colFrom
-	colTo
-	colFreqMHz
-	colDeadlineS
-	colCycles
-	colState
-	colSegment
-	colFromRung
-	colToRung
-	colRateBps
-	colLevelS
-	colReady
-	colCap
-	colComponent
-	colWatts
-)
-
-// CSVSink writes the event stream as a wide CSV: one fixed header, one
-// row per event, inapplicable columns empty. Same determinism contract as
-// the JSONL sink. Close flushes (and closes an io.Closer writer).
-type CSVSink struct {
-	w     writer
-	cells [csvCols]string
-}
-
-// NewCSV returns a CSV sink over w with the header already written.
-func NewCSV(w io.Writer) *CSVSink {
-	s := &CSVSink{w: newWriter(w)}
-	s.w.line(append(s.w.buf[:0], csvHeader...))
-	return s
-}
-
-// Err returns the first write error, if any.
-func (s *CSVSink) Err() error { return s.w.err }
-
-// Close implements Sink.
-func (s *CSVSink) Close() error { return s.w.close() }
-
-func (s *CSVSink) row(ev string, t float64) {
-	b := appendFloat(s.w.buf[:0], t)
-	b = append(b, ',')
-	b = append(b, ev...)
-	for i := 2; i < csvCols; i++ {
-		b = append(b, ',')
-		b = append(b, s.cells[i]...)
-		s.cells[i] = ""
-	}
-	s.w.line(b)
-}
-
-func cInt(v int) string      { return strconv.Itoa(v) }
-func cFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Decision implements Tracer.
-func (s *CSVSink) Decision(e DecisionEvent) {
-	s.cells[colFrame] = cInt(e.Frame)
-	s.cells[colFType] = e.Type.String()
-	s.cells[colPredCycles] = cFloat(e.PredCycles)
-	s.cells[colSlackS] = cFloat(e.Slack.Seconds())
-	s.cells[colBudgetS] = cFloat(e.Budget.Seconds())
-	s.cells[colOPP] = cInt(e.OPP)
-	s.cells[colBoost] = strconv.FormatBool(e.Boost)
-	s.row("decision", e.T.Seconds())
-}
-
-// Frame implements Tracer.
-func (s *CSVSink) Frame(e FrameEvent) {
-	s.cells[colFrame] = cInt(e.Frame)
-	switch e.Stage {
-	case StageDecodeStart:
-		s.cells[colFType] = e.Type.String()
-		s.cells[colDeadlineS] = cFloat(e.Deadline.Seconds())
-	case StageDecodeEnd:
-		s.cells[colFType] = e.Type.String()
-		s.cells[colDeadlineS] = cFloat(e.Deadline.Seconds())
-		s.cells[colCycles] = cFloat(e.Cycles)
-	}
-	s.row(e.Stage.String(), e.T.Seconds())
-}
-
-// OPP implements Tracer.
-func (s *CSVSink) OPP(e OPPEvent) {
-	s.cells[colFrom] = cInt(e.From)
-	s.cells[colTo] = cInt(e.To)
-	s.cells[colFreqMHz] = cFloat(e.FreqHz / 1e6)
-	s.row("opp", e.T.Seconds())
-}
-
-// CPUBusy implements Tracer.
-func (s *CSVSink) CPUBusy(e CPUBusyEvent) {
-	if e.Busy {
-		s.cells[colState] = "busy"
-	} else if e.CState != "" {
-		s.cells[colState] = e.CState
-	} else {
-		s.cells[colState] = "idle"
-	}
-	s.row("cpu_busy", e.T.Seconds())
-}
-
-// RRC implements Tracer.
-func (s *CSVSink) RRC(e RRCEvent) {
-	s.cells[colState] = e.State
-	s.row("rrc", e.T.Seconds())
-}
-
-// ABR implements Tracer.
-func (s *CSVSink) ABR(e ABREvent) {
-	s.cells[colSegment] = cInt(e.Segment)
-	s.cells[colFromRung] = cInt(e.FromRung)
-	s.cells[colToRung] = cInt(e.ToRung)
-	s.cells[colRateBps] = cFloat(e.RateBps)
-	s.row("abr", e.T.Seconds())
-}
-
-// Buffer implements Tracer.
-func (s *CSVSink) Buffer(e BufferEvent) {
-	s.cells[colLevelS] = cFloat(e.LevelSec)
-	s.cells[colReady] = cInt(e.Ready)
-	s.cells[colCap] = cInt(e.Cap)
-	s.row("buffer", e.T.Seconds())
-}
-
-// Playback implements Tracer.
-func (s *CSVSink) Playback(e PlaybackEvent) {
-	s.cells[colState] = "paused"
-	if e.Playing {
-		s.cells[colState] = "playing"
-	}
-	s.row("playback", e.T.Seconds())
-}
-
-// Power implements Tracer.
-func (s *CSVSink) Power(e PowerEvent) {
-	s.cells[colComponent] = e.Component
-	s.cells[colWatts] = cFloat(e.Watts)
-	s.row("power", e.T.Seconds())
-}
-
-var _ Sink = (*CSVSink)(nil)

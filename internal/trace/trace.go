@@ -14,7 +14,7 @@
 // randomness derives from the run seed, so the event stream — order,
 // timestamps, and payloads — is a pure function of the RunConfig. Sinks
 // format floats with strconv's shortest round-trip representation, making
-// JSONL and CSV output byte-identical across same-seed runs, platforms,
+// JSONL output byte-identical across same-seed runs, platforms,
 // and worker counts. The golden test in this package pins that contract.
 package trace
 

@@ -63,59 +63,6 @@ func TestJSONLSerialization(t *testing.T) {
 	}
 }
 
-func TestCSVSerialization(t *testing.T) {
-	var sb strings.Builder
-	s := NewCSV(&sb)
-	feedAll(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if lines[0] != csvHeader {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 14 { // header + 13 events
-		t.Fatalf("got %d lines, want 14", len(lines))
-	}
-	for i, ln := range lines {
-		if n := strings.Count(ln, ","); n != csvCols-1 {
-			t.Errorf("line %d has %d commas, want %d: %q", i+1, n, csvCols-1, ln)
-		}
-	}
-	// Spot-check a full row and that cells reset between events: the
-	// decision row fills the decision columns, and the following
-	// decode_start row must not inherit them.
-	if want := "0.5,decision,42,P,3e+07,0.02,0.033,2,false,,,,,,,,,,,,,,,"; lines[1] != want {
-		t.Errorf("decision row:\n got %s\nwant %s", lines[1], want)
-	}
-	if want := "0.5,decode_start,42,P,,,,,,,,,0.6,,,,,,,,,,,"; lines[2] != want {
-		t.Errorf("decode_start row:\n got %s\nwant %s", lines[2], want)
-	}
-	// CPUBusy folds busy/cstate/idle into the state column; Playback
-	// writes playing/paused there.
-	if !strings.Contains(lines[7], ",busy,") {
-		t.Errorf("busy row missing state: %s", lines[7])
-	}
-	if !strings.Contains(lines[8], ",C2,") {
-		t.Errorf("idle row missing C-state: %s", lines[8])
-	}
-	if !strings.Contains(lines[12], ",playing,") {
-		t.Errorf("playback row missing state: %s", lines[12])
-	}
-}
-
-func TestCSVIdleWithoutCState(t *testing.T) {
-	var sb strings.Builder
-	s := NewCSV(&sb)
-	s.CPUBusy(CPUBusyEvent{T: 1, Busy: false})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), ",idle,") {
-		t.Fatalf("want bare idle marker, got %q", sb.String())
-	}
-}
-
 // failWriter fails every write after the first n bytes.
 type failWriter struct{ n int }
 
@@ -150,7 +97,7 @@ func (c *closeCounter) Close() error { c.closed++; return nil }
 
 func TestSinkClosesUnderlyingCloser(t *testing.T) {
 	var cw closeCounter
-	s := NewCSV(&cw)
+	s := NewJSONL(&cw)
 	s.RRC(RRCEvent{T: 1, State: "IDLE"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

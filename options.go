@@ -49,8 +49,8 @@ func WithDuration(d Time) Option { return func(c *RunConfig) { c.Duration = d } 
 // WithSeed sets the seed driving all stochastic inputs.
 func WithSeed(seed int64) Option { return func(c *RunConfig) { c.Seed = seed } }
 
-// WithTracer attaches a structured tracer to the run; see NewJSONLTracer,
-// NewCSVTracer, and NewTraceCollector.
+// WithTracer attaches a structured tracer to the run; see NewJSONLTracer
+// and NewTraceCollector.
 func WithTracer(tr Tracer) Option { return func(c *RunConfig) { c.Tracer = tr } }
 
 // WithCodec selects the decode model by name ("h264", "hevc").

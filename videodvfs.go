@@ -82,7 +82,7 @@ type (
 	// ABR is a typed adaptation-algorithm identifier; see ParseABR.
 	ABR = experiments.ABRID
 	// Tracer receives a run's structured event stream; see RunConfig.Tracer
-	// and the sink constructors NewJSONLTracer / NewCSVTracer.
+	// and the sink constructor NewJSONLTracer.
 	Tracer = trace.Tracer
 	// TraceSink is a Tracer bound to an output that must be closed after
 	// the run to flush buffered events.
@@ -257,11 +257,6 @@ func WriteBWTrace(w io.Writer, t BWTrace) error { return netsim.WriteTrace(w, t)
 // output. Close it after the run to flush.
 func NewJSONLTracer(w io.Writer) TraceSink { return trace.NewJSONL(w) }
 
-// NewCSVTracer returns a tracer serializing events to a single flat CSV
-// table on w (one header; event-inapplicable cells left empty). Close it
-// after the run to flush.
-func NewCSVTracer(w io.Writer) TraceSink { return trace.NewCSV(w) }
-
 // NewTraceCollector returns an in-memory tracer that rolls the event
 // stream up into TraceMetrics: per-OPP residency, decode-latency
 // histogram, prediction-error quantiles, and an energy-by-component
@@ -294,12 +289,6 @@ type Arena = experiments.Session
 // NewArena returns an empty arena; the simulator is built on the first
 // RunInto and recycled by every later one.
 func NewArena() *Arena { return experiments.NewSession() }
-
-// SetSessionReuse toggles the arena pool behind Run and returns the
-// previous setting. On by default; switching it off makes every Run
-// construct a fresh simulator (the reference mode the differential test
-// layer compares recycled runs against).
-func SetSessionReuse(on bool) (prev bool) { return experiments.SetSessionReuse(on) }
 
 // ErrHorizonExceeded reports a session still incomplete when the
 // simulation horizon cut the run off; distinguish it with errors.Is.
@@ -349,5 +338,5 @@ func Experiment(id string) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	return b()
+	return b(experiments.Run)
 }
