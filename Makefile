@@ -41,9 +41,10 @@ stress-e2e:
 	$(GO) test -race -count 1 ./internal/stress ./cmd/dvfsstress
 	$(GO) test -race -count 1 ./cmd/dvfsim -run 'TestBWTraceFileReplay'
 
-# Ten seconds of coverage-guided fuzzing per untrusted-input parser
-# (checked-in seeds live under */testdata/fuzz). Native fuzzing allows
-# one -fuzz target per invocation, hence the separate runs.
+# Ten seconds of coverage-guided fuzzing per untrusted-input parser, plus
+# the event queue against its binary-heap oracle (checked-in seeds live
+# under */testdata/fuzz). Native fuzzing allows one -fuzz target per
+# invocation, hence the separate runs.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzParseGovernorID$$' -fuzztime $(FUZZTIME)
@@ -56,6 +57,7 @@ fuzz-short:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeSweepRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeCohortRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineQueue$$' -fuzztime $(FUZZTIME)
 
 # Rebuild the full 30-experiment evaluation with the invariant checker
 # riding every simulation (DESIGN.md §10). Exits non-zero on the first

@@ -82,6 +82,11 @@ func run(args []string) error {
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Subscribe before announcing the address: a SIGTERM that follows the
+	// listening line must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	log.Printf("dvfsd: listening on %s (workers=%d queue=%d cache=%dMiB)",
 		ln.Addr(), *workers, *queue, *cacheMB)
 
@@ -94,8 +99,6 @@ func run(args []string) error {
 		errc <- nil
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

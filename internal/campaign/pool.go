@@ -134,6 +134,14 @@ func (p *Pool) SubmitCtx(ctx context.Context, task func()) error {
 	if p.submitGate != nil {
 		p.submitGate()
 	}
+	// A Close that began while this sender waited must win outright: with
+	// queue space free, the select below could otherwise hand the task to
+	// an idle worker before the retraction check gets to run.
+	select {
+	case <-p.closing:
+		return ErrPoolClosed
+	default:
+	}
 	s := &submission{task: task}
 	select {
 	case p.tasks <- s:

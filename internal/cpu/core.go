@@ -119,10 +119,12 @@ type Core struct {
 	// stallUntil is the end of an in-flight DVFS transition stall.
 	stallUntil sim.Time
 
-	totalBusy   sim.Time
-	busySince   sim.Time
-	busy        bool
-	cyclesByTag map[string]float64
+	totalBusy sim.Time
+	busySince sim.Time
+	busy      bool
+	// tagCycles accumulates completed cycles per job tag in first-seen
+	// order (a handful of tags); CyclesByTag builds the map on demand.
+	tagCycles []tagCycles
 
 	onPower func(now sim.Time, watts float64)
 	onOPP   func(now sim.Time, idx int)
@@ -148,11 +150,11 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{
-		eng:         eng,
-		model:       model,
-		capIdx:      model.MaxIdx(),
-		cyclesByTag: make(map[string]float64),
-		freqDwell:   make([]sim.Time, len(model.OPPs)),
+		eng:       eng,
+		model:     model,
+		capIdx:    model.MaxIdx(),
+		tagCycles: make([]tagCycles, 0, 4),
+		freqDwell: make([]sim.Time, len(model.OPPs)),
 	}
 	c.completeFn = c.complete
 	return c, nil
@@ -160,7 +162,7 @@ func NewCore(eng *sim.Engine, model Model) (*Core, error) {
 
 // Reset rewinds the core to the state NewCore would construct for model,
 // keeping its allocations: queue backing arrays, the dwell table (when the
-// OPP count matches), the per-tag accounting map, and the pre-bound
+// OPP count matches), the per-tag accounting table, and the pre-bound
 // completion callback all survive. Queued and in-flight jobs are returned
 // to their pools so recycled submitters find them again; listeners and the
 // tracer are dropped (the next run re-registers its own); the cpuidle
@@ -195,7 +197,7 @@ func (c *Core) Reset(model Model) error {
 	c.totalBusy = 0
 	c.busySince = 0
 	c.busy = false
-	clear(c.cyclesByTag)
+	c.tagCycles = c.tagCycles[:0]
 	c.onPower = nil
 	c.onOPP = nil
 	c.tracer = nil
@@ -279,9 +281,9 @@ func (c *Core) BusyTime() sim.Time {
 
 // CyclesByTag returns cumulative completed cycles grouped by job tag.
 func (c *Core) CyclesByTag() map[string]float64 {
-	out := make(map[string]float64, len(c.cyclesByTag))
-	for k, v := range c.cyclesByTag {
-		out[k] = v
+	out := make(map[string]float64, len(c.tagCycles))
+	for _, tc := range c.tagCycles {
+		out[tc.tag] = tc.cycles
 	}
 	return out
 }
@@ -472,7 +474,7 @@ func (c *Core) dispatch() {
 
 func (c *Core) complete() {
 	job := c.current.job
-	c.cyclesByTag[job.Tag] += job.Cycles
+	c.addCycles(job.Tag, job.Cycles)
 	c.current = runningJob{}
 	c.running = false
 	c.doneEv = sim.Event{}
@@ -483,6 +485,24 @@ func (c *Core) complete() {
 		job.pool.put(job)
 	}
 	c.dispatch()
+}
+
+// tagCycles is one row of the per-tag cycle accounting.
+type tagCycles struct {
+	tag    string
+	cycles float64
+}
+
+// addCycles credits completed cycles to tag. Tags are few, so a linear
+// scan beats hashing the string on every completion.
+func (c *Core) addCycles(tag string, cycles float64) {
+	for i := range c.tagCycles {
+		if c.tagCycles[i].tag == tag {
+			c.tagCycles[i].cycles += cycles
+			return
+		}
+	}
+	c.tagCycles = append(c.tagCycles, tagCycles{tag: tag, cycles: cycles})
 }
 
 // UtilSampler computes windowed utilization the way cpufreq samplers do:

@@ -252,8 +252,23 @@ func TestCyclesByTag(t *testing.T) {
 	}
 	eng.Run()
 	got := core.CyclesByTag()
-	if got["decode"] != 3e6 || got["net"] != 5e5 {
+	if got["decode"] != 3e6 || got["net"] != 5e5 || len(got) != 2 {
 		t.Fatalf("cycles by tag = %v", got)
+	}
+	// A reset core forgets its tags; the next run's tags start afresh.
+	eng.Reset()
+	if err := core.Reset(core.Model()); err != nil {
+		t.Fatal(err)
+	}
+	if got := core.CyclesByTag(); len(got) != 0 {
+		t.Fatalf("cycles by tag after Reset = %v, want empty", got)
+	}
+	if err := core.Submit(&Job{Cycles: 7e5, Tag: "net"}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if got := core.CyclesByTag(); len(got) != 1 || got["net"] != 7e5 {
+		t.Fatalf("cycles by tag after Reset and one job = %v, want map[net:700000]", got)
 	}
 }
 

@@ -78,3 +78,38 @@ func TestMeterString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
+
+// A listener resolves its component up front, but the component must
+// still first appear in Components and Breakdown at its first sample, and
+// a reset meter's listeners must keep feeding the same component.
+func TestMeterListenerComponentAppearsAtFirstSample(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMeter(eng)
+	radio := m.Listener(ComponentRadio)
+	if comps := m.Components(); len(comps) != 0 {
+		t.Fatalf("components before any sample = %v, want none", comps)
+	}
+	if bd := m.Breakdown(); len(bd) != 0 {
+		t.Fatalf("breakdown before any sample = %v, want empty", bd)
+	}
+	m.Set(ComponentCPU, 1)
+	radio(0, 2)
+	if comps := m.Components(); len(comps) != 2 || comps[0] != ComponentCPU || comps[1] != ComponentRadio {
+		t.Fatalf("components = %v, want [cpu radio]", comps)
+	}
+	eng.Schedule(sim.Second, func() {})
+	eng.Run()
+	m.Finish()
+	if got := m.ComponentJ(ComponentRadio); got != 2 {
+		t.Fatalf("radio energy = %v, want 2", got)
+	}
+
+	m.Reset()
+	radio(eng.Now(), 3)
+	eng.Schedule(sim.Second, func() {})
+	eng.Run()
+	m.Finish()
+	if got, cpu := m.ComponentJ(ComponentRadio), m.ComponentJ(ComponentCPU); got != 3 || cpu != 0 {
+		t.Fatalf("after Reset: radio %v J, cpu %v J; want 3 and 0", got, cpu)
+	}
+}

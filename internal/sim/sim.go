@@ -13,6 +13,13 @@
 // are index+generation pairs, which makes stale cancels (of an event that
 // already fired and whose slot was reused) harmless no-ops.
 //
+// The queue is a 4-ary heap whose entries carry their ordering key
+// (time, sequence number) and the slot's generation inline, so sifting
+// reads only the heap array. Cancel is lazy: it releases the slot at once
+// and leaves the entry behind as a tombstone, which the run loop discards
+// when it surfaces and which a compaction sweeps out once tombstones
+// outnumber live events.
+//
 // All stochastic model inputs are drawn from RNG streams derived from a
 // single seed (see rng.go), which makes every simulation fully reproducible.
 package sim
@@ -65,13 +72,32 @@ type Event struct {
 // present); the zero Event is invalid.
 func (e Event) Valid() bool { return e.gen != 0 }
 
-// eventSlot is one pooled event in the engine's slab.
+// eventSlot is one pooled event in the engine's slab: just the callback
+// and its generation. The ordering key lives in the heap entry, so sifting
+// never touches the slab. A slot is occupied exactly while some handle
+// carries its current generation — every release bumps it — so a
+// generation match alone says "still pending".
 type eventSlot struct {
-	at  Time
-	seq uint64
 	fn  func()
 	gen uint32
-	pos int32 // position in the heap; -1 when free
+}
+
+// heapEntry is one queued event: its ordering key (at, seq) inline, plus
+// the slot it refers to stamped with that slot's generation at scheduling
+// time. An entry whose gen no longer matches its slot is a tombstone left
+// by Cancel; RunUntil discards it when it surfaces.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	idx int32
+	gen uint32
+}
+
+// before orders entries by (at, seq): a strict total order, since seq is
+// unique, so equal-time events run FIFO and the pop sequence does not
+// depend on the heap's shape.
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a discrete-event simulator instance.
@@ -81,8 +107,11 @@ type Engine struct {
 	now   Time
 	slots []eventSlot
 	free  []int32
-	heap  []int32 // slot indices ordered by (at, seq)
-	seq   uint64
+	// heap is a 4-ary min-heap on (at, seq). It may hold tombstones of
+	// canceled events; live counts the entries that are not.
+	heap []heapEntry
+	live int
+	seq  uint64
 	// executed counts callbacks run, for tests and runaway detection.
 	executed uint64
 	stopped  bool
@@ -99,13 +128,14 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of event callbacks run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of events currently scheduled (canceled
+// events are not counted, even while their tombstones sit in the heap).
+func (e *Engine) Pending() int { return e.live }
 
 // Schedule runs fn after delay (relative to Now). A negative delay is
 // clamped to zero so causality is preserved. A non-finite delay panics,
 // naming the call site: NaN would slip past the clamp (every comparison
-// against NaN is false), enter the heap, and poison every heapLess
+// against NaN is false), enter the heap, and poison every ordering
 // comparison, while ±Inf enters as an event that can never fire and turns
 // subsequent time arithmetic into Inf/NaN — the same silent corruption.
 // It returns a handle usable with Cancel.
@@ -140,11 +170,10 @@ func (e *Engine) At(t Time, fn func()) Event {
 		idx = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
 	s.fn = fn
+	e.heapPush(heapEntry{at: t, seq: e.seq, idx: idx, gen: s.gen})
 	e.seq++
-	e.heapPush(idx)
+	e.live++
 	return Event{idx: idx, gen: s.gen}
 }
 
@@ -163,34 +192,33 @@ func panicNonFinite(method string, t Time) {
 // Scheduled reports whether the event the handle refers to is still
 // pending (not yet fired and not canceled).
 func (e *Engine) Scheduled(ev Event) bool {
-	if !ev.Valid() || int(ev.idx) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[ev.idx]
-	return s.gen == ev.gen && s.pos >= 0
+	return ev.Valid() && int(ev.idx) < len(e.slots) && e.slots[ev.idx].gen == ev.gen
 }
 
 // Cancel prevents a scheduled event from running. Canceling the zero
 // Event, an event that already ran, or canceling twice, is a no-op.
+//
+// The slot is released at once; its heap entry stays behind as a
+// tombstone that RunUntil skips. Once tombstones outnumber live events
+// the heap is compacted, so a cancel-heavy caller (a Timeout.Reset loop)
+// keeps heap storage within twice the pending count.
 func (e *Engine) Cancel(ev Event) {
-	if !ev.Valid() || int(ev.idx) >= len(e.slots) {
-		return
+	if !e.Scheduled(ev) {
+		return // zero handle, already fired, canceled, or slot reused
 	}
-	s := &e.slots[ev.idx]
-	if s.gen != ev.gen || s.pos < 0 {
-		return // already fired, canceled, or slot reused
-	}
-	e.heapRemove(int(s.pos))
 	e.release(ev.idx)
+	e.live--
+	if len(e.heap)-e.live > e.live {
+		e.compact()
+	}
 }
 
 // release returns a slot to the free list and invalidates outstanding
-// handles by bumping the generation.
+// handles (and the slot's heap entry) by bumping the generation.
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
 	s.fn = nil
 	s.gen++
-	s.pos = -1
 	e.free = append(e.free, idx)
 }
 
@@ -198,19 +226,17 @@ func (e *Engine) release(idx int32) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset rewinds the engine to its initial state while keeping the event
-// slab, so a recycled engine schedules into already-allocated slots: the
-// clock returns to zero, every pending event is dropped, and all slots
-// rejoin the free list. Each slot's generation is bumped, so handles held
-// from before the reset can never cancel or match a post-reset event —
-// stale cancels stay harmless no-ops, exactly as for fired events.
+// slab and heap storage, so a recycled engine schedules into
+// already-allocated slots: the clock returns to zero, every pending event
+// and tombstone is dropped, and all slots rejoin the free list. Each
+// slot's generation is bumped, so handles held from before the reset can
+// never cancel or match a post-reset event — stale cancels stay harmless
+// no-ops, exactly as for fired events.
 func (e *Engine) Reset() {
 	for i := range e.slots {
 		s := &e.slots[i]
-		s.at = 0
-		s.seq = 0
 		s.fn = nil
 		s.gen++
-		s.pos = -1
 	}
 	if cap(e.free) < len(e.slots) {
 		e.free = make([]int32, 0, len(e.slots))
@@ -222,6 +248,7 @@ func (e *Engine) Reset() {
 		e.free = append(e.free, int32(i))
 	}
 	e.heap = e.heap[:0]
+	e.live = 0
 	e.now = 0
 	e.seq = 0
 	e.executed = 0
@@ -238,17 +265,22 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 func (e *Engine) RunUntil(horizon Time) Time {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
-		idx := e.heap[0]
-		s := &e.slots[idx]
-		if s.at > horizon {
+		top := &e.heap[0]
+		s := &e.slots[top.idx]
+		if s.gen != top.gen {
+			e.heapPop() // tombstone of a canceled event
+			continue
+		}
+		if top.at > horizon {
 			break
 		}
-		fn := s.fn
-		e.now = s.at
-		e.heapRemove(0)
+		fn, idx := s.fn, top.idx
+		e.now = top.at
+		e.heapPop()
 		// Release before the callback so fn can recycle the slot; the
 		// generation bump keeps any retained handle from matching it.
 		e.release(idx)
+		e.live--
 		e.executed++
 		fn()
 	}
@@ -258,72 +290,71 @@ func (e *Engine) RunUntil(horizon Time) Time {
 	return e.now
 }
 
-// heapLess orders slots by (at, seq) so equal-time events run FIFO.
-func (e *Engine) heapLess(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
+// The heap is 4-ary: the children of i are 4i+1 … 4i+4. Sifts move a
+// hole instead of swapping, so each level costs one entry write.
 
-func (e *Engine) heapPush(idx int32) {
-	e.heap = append(e.heap, idx)
-	pos := len(e.heap) - 1
-	e.slots[idx].pos = int32(pos)
-	e.heapUp(pos)
-}
-
-// heapRemove deletes the element at heap position pos.
-func (e *Engine) heapRemove(pos int) {
-	last := len(e.heap) - 1
-	if pos != last {
-		e.heapSwap(pos, last)
-	}
-	e.slots[e.heap[last]].pos = -1
-	e.heap = e.heap[:last]
-	if pos != last {
-		if !e.heapDown(pos) {
-			e.heapUp(pos)
-		}
-	}
-}
-
-func (e *Engine) heapSwap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.slots[e.heap[i]].pos = int32(i)
-	e.slots[e.heap[j]].pos = int32(j)
-}
-
-func (e *Engine) heapUp(pos int) {
-	for pos > 0 {
-		parent := (pos - 1) / 2
-		if !e.heapLess(e.heap[pos], e.heap[parent]) {
+func (e *Engine) heapPush(x heapEntry) {
+	e.heap = append(e.heap, x)
+	h := e.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&h[p]) {
 			break
 		}
-		e.heapSwap(pos, parent)
-		pos = parent
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// heapPop removes the top entry.
+func (e *Engine) heapPop() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(0, last)
 	}
 }
 
-// heapDown sifts the element at pos toward the leaves; it reports whether
-// the element moved.
-func (e *Engine) heapDown(pos int) bool {
-	start := pos
-	n := len(e.heap)
+// siftDown places x into the subtree rooted at hole i.
+func (e *Engine) siftDown(i int, x heapEntry) {
+	h := e.heap
+	n := len(h)
 	for {
-		child := 2*pos + 1
-		if child >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		if right := child + 1; right < n && e.heapLess(e.heap[right], e.heap[child]) {
-			child = right
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
 		}
-		if !e.heapLess(e.heap[child], e.heap[pos]) {
+		if !h[m].before(&x) {
 			break
 		}
-		e.heapSwap(pos, child)
-		pos = child
+		h[i] = h[m]
+		i = m
 	}
-	return pos > start
+	h[i] = x
+}
+
+// compact drops every tombstone and re-heapifies the survivors. Pop order
+// is unaffected: it follows the strict (at, seq) order, not the shape.
+func (e *Engine) compact() {
+	h := e.heap[:0]
+	for _, x := range e.heap {
+		if e.slots[x.idx].gen == x.gen {
+			h = append(h, x)
+		}
+	}
+	e.heap = h
+	if n := len(h); n > 1 {
+		for i := (n - 2) / 4; i >= 0; i-- {
+			e.siftDown(i, h[i])
+		}
+	}
 }

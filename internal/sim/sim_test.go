@@ -148,6 +148,25 @@ func TestEngineScheduleFireAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("schedule/fire cycle allocates %.1f objects, want 0", avg)
 	}
+	// Cancel-and-reschedule (the Timeout.Reset pattern) leaves tombstones
+	// behind; skipping and compacting them must not allocate either.
+	evs := make([]Event, 64)
+	avg = testing.AllocsPerRun(100, func() {
+		for i := range evs {
+			evs[i] = eng.Schedule(Time(i)*Millisecond, fn)
+		}
+		for i := 0; i < len(evs); i += 2 {
+			eng.Cancel(evs[i])
+			evs[i] = eng.Schedule(Time(i)*Millisecond+Microsecond, fn)
+		}
+		for i := 1; i < len(evs); i += 4 {
+			eng.Cancel(evs[i])
+		}
+		eng.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("cancel/reschedule/fire cycle allocates %.1f objects, want 0", avg)
+	}
 }
 
 func TestEngineCancelFromInsideEarlierEvent(t *testing.T) {
@@ -500,7 +519,7 @@ func TestPickTreatsNonFiniteWeightsAsZero(t *testing.T) {
 
 // TestScheduleRejectsNonFinite pins the non-finite guard on the event
 // heap: NaN slips past the t < now clamp (every NaN comparison is false)
-// and poisons every heapLess comparison, while ±Inf enters as an event
+// and poisons every ordering comparison, while ±Inf enters as an event
 // that can never fire and turns later time arithmetic into Inf/NaN — so
 // the engine refuses both loudly, naming the call site.
 func TestScheduleRejectsNonFinite(t *testing.T) {
