@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeSweepRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeCohortRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeCohortPartRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineQueue$$' -fuzztime $(FUZZTIME)
 

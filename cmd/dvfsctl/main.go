@@ -93,6 +93,11 @@ func run(args []string) error {
 		return err
 	}
 	httpSrv := &http.Server{Handler: ctl.Handler()}
+	// Subscribe before announcing the address: a SIGTERM that follows the
+	// listening line must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	log.Printf("dvfsctl: listening on %s (workers=%d concurrency=%d retries=%d)",
 		ln.Addr(), len(urls), *concurrency, *retries)
 
@@ -105,8 +110,6 @@ func run(args []string) error {
 		errc <- nil
 	}()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

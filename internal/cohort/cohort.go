@@ -260,7 +260,7 @@ func (c Config) shardCount() int {
 	return s
 }
 
-// viewerHorizon mirrors Run's default horizon: the per-viewer virtual
+// viewerHorizon resolves Run's horizon: the per-viewer virtual
 // budget from join to forced cut.
 func (c Config) viewerHorizon() sim.Time {
 	if c.Base.Horizon > 0 {
@@ -270,7 +270,7 @@ func (c Config) viewerHorizon() sim.Time {
 	if c.Base.Trace != nil && d <= 0 {
 		d = c.Base.Trace.Duration()
 	}
-	return d*6 + 60*sim.Second
+	return experiments.DefaultHorizon(d)
 }
 
 // computeJoins materializes every viewer's absolute join time, centrally

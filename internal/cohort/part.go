@@ -2,7 +2,6 @@ package cohort
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"videodvfs/internal/experiments"
@@ -15,7 +14,8 @@ import (
 // function of its Config, so any subset of shards can be simulated on any
 // machine and the per-shard aggregation states merged back in shard-index
 // order reproduce the single-node Result bit for bit. RunPart executes a
-// subset; MergeParts reassembles the whole. dvfsd serves RunPart as
+// subset; MergeParts reassembles the whole; Run is the one-part case of
+// both. dvfsd serves RunPart as
 // POST /v1/cohort/part and dvfsctl fans a cohort's shards across workers,
 // merging the returned Partials.
 
@@ -63,10 +63,11 @@ type Partial struct {
 }
 
 // RunPart executes only the named shards of cfg's cohort and returns
-// their serialized aggregation states. The shard layout is derived from
-// cfg exactly as Run derives it, so shard i simulated here is
-// event-for-event identical to shard i inside a whole-cohort Run; merging
-// every shard's Partial (MergeParts) reproduces Run's Result exactly.
+// their serialized aggregation states. It steps the shards through the
+// same loop as a whole-cohort Run, under the same cfg-derived layout, so
+// shard i simulated here is event-for-event identical to shard i inside
+// Run; merging every shard's Partial (MergeParts) reproduces Run's
+// Result exactly, because Run itself ends in MergeParts.
 // Rollup callbacks are not supported on partial runs (a part cannot see
 // the whole cohort's barrier state); OnViewer fires as usual.
 func RunPart(cfg Config, shardSet []int) (Partial, error) {
@@ -93,52 +94,7 @@ func RunPart(cfg Config, shardSet []int) (Partial, error) {
 		}
 	}
 
-	joins := computeJoins(cfg)
-	shards := make([]*shard, len(set))
-	for i, idx := range set {
-		shards[i] = newShard(&cfg, idx, nShards, joins)
-	}
-
-	var maxJoin sim.Time
-	for _, j := range joins {
-		if j > maxJoin {
-			maxJoin = j
-		}
-	}
-	step := cfg.rollup()
-	bound := maxJoin + cfg.viewerHorizon() + step
-	workers := runtime.GOMAXPROCS(0)
-
-	for t := step; ; t += step {
-		stepAll(shards, t, workers)
-		if err := canceled(cfg); err != nil {
-			return Partial{}, err
-		}
-		if allDone(shards) || t > bound {
-			break
-		}
-	}
-
-	p := Partial{Viewers: cfg.Viewers, Shards: nShards, States: make([]ShardState, len(shards))}
-	for i, sh := range shards {
-		p.States[i] = ShardState{
-			Shard:      sh.idx,
-			Started:    sh.agg.started,
-			Finished:   sh.agg.finished,
-			Completed:  sh.agg.completed,
-			HorizonCut: sh.agg.horizonCut,
-			Errors:     sh.agg.errors,
-			FirstError: sh.agg.firstErr,
-			CPUJ:       sh.agg.cpuJ,
-			RadioJ:     sh.agg.radioJ,
-			DisplayJ:   sh.agg.displayJ,
-			MaxEnd:     sh.agg.maxEnd,
-			Energy:     sh.agg.energy.State(),
-			Rebuffer:   sh.agg.rebuffer.State(),
-			Startup:    sh.agg.startup.State(),
-		}
-	}
-	return p, nil
+	return runShards(cfg, set, nil)
 }
 
 // MergeParts reassembles a whole cohort's Result from partial runs. The

@@ -17,6 +17,11 @@ import (
 // abort because one starved session timed out; only an invalid Config
 // returns an error.
 //
+// A whole-cohort Run is the one-part case of the distributed seam: it
+// steps every shard through the same loop RunPart uses and merges the
+// shards' final states with MergeParts, so a single-node Result and a
+// fleet-merged one are computed by the same code.
+//
 // Shards are stepped by up to GOMAXPROCS workers, but every
 // result-determining choice — shard count, viewer assignment, seeds,
 // join times, merge order — is a pure function of cfg, so the Result
@@ -25,11 +30,31 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	all := make([]int, cfg.shardCount())
+	for i := range all {
+		all[i] = i
+	}
+	var barrier func(sim.Time, []*shard)
+	if cfg.OnRollup != nil {
+		barrier = func(t sim.Time, shards []*shard) { cfg.OnRollup(snapshotRollup(t, shards)) }
+	}
+	p, err := runShards(cfg, all, barrier)
+	if err != nil {
+		return Result{}, err
+	}
+	return MergeParts([]Partial{p})
+}
+
+// runShards builds the shards named by set (sorted, distinct, in range)
+// under cfg's whole-cohort layout and steps them in lockstep rollup
+// barriers until every viewer has finished, calling barrier (if non-nil)
+// after each step. It returns the shards' final aggregation states.
+func runShards(cfg Config, set []int, barrier func(sim.Time, []*shard)) (Partial, error) {
 	joins := computeJoins(cfg)
 	nShards := cfg.shardCount()
-	shards := make([]*shard, nShards)
-	for i := range shards {
-		shards[i] = newShard(&cfg, i, nShards, joins)
+	shards := make([]*shard, len(set))
+	for i, idx := range set {
+		shards[i] = newShard(&cfg, idx, nShards, joins)
 	}
 
 	var maxJoin sim.Time
@@ -48,16 +73,36 @@ func Run(cfg Config) (Result, error) {
 	for t := step; ; t += step {
 		stepAll(shards, t, workers)
 		if err := canceled(cfg); err != nil {
-			return Result{}, err
+			return Partial{}, err
 		}
-		if cfg.OnRollup != nil {
-			cfg.OnRollup(snapshotRollup(t, shards))
+		if barrier != nil {
+			barrier(t, shards)
 		}
 		if allDone(shards) || t > bound {
 			break
 		}
 	}
-	return buildResult(cfg, nShards, shards), nil
+
+	p := Partial{Viewers: cfg.Viewers, Shards: nShards, States: make([]ShardState, len(shards))}
+	for i, sh := range shards {
+		p.States[i] = ShardState{
+			Shard:      sh.idx,
+			Started:    sh.agg.started,
+			Finished:   sh.agg.finished,
+			Completed:  sh.agg.completed,
+			HorizonCut: sh.agg.horizonCut,
+			Errors:     sh.agg.errors,
+			FirstError: sh.agg.firstErr,
+			CPUJ:       sh.agg.cpuJ,
+			RadioJ:     sh.agg.radioJ,
+			DisplayJ:   sh.agg.displayJ,
+			MaxEnd:     sh.agg.maxEnd,
+			Energy:     sh.agg.energy.State(),
+			Rebuffer:   sh.agg.rebuffer.State(),
+			Startup:    sh.agg.startup.State(),
+		}
+	}
+	return p, nil
 }
 
 // canceled reports whether the cohort's cancel channel has closed,
@@ -113,29 +158,4 @@ func allDone(shards []*shard) bool {
 		}
 	}
 	return true
-}
-
-// buildResult merges the shards' final aggregation state, in shard-index
-// order.
-func buildResult(cfg Config, nShards int, shards []*shard) Result {
-	r := Result{Viewers: cfg.Viewers, Shards: nShards}
-	for _, sh := range shards {
-		r.Completed += sh.agg.completed
-		r.HorizonCut += sh.agg.horizonCut
-		r.Errors += sh.agg.errors
-		if r.FirstError == "" {
-			r.FirstError = sh.agg.firstErr
-		}
-		r.CPUJ += sh.agg.cpuJ
-		r.RadioJ += sh.agg.radioJ
-		r.DisplayJ += sh.agg.displayJ
-		if sh.agg.maxEnd > r.SimEnd {
-			r.SimEnd = sh.agg.maxEnd
-		}
-	}
-	energy, rebuffer, startup := mergedSketches(shards)
-	r.EnergyJ = distOf(energy)
-	r.RebufferRatio = distOf(rebuffer)
-	r.StartupDelayS = distOf(startup)
-	return r
 }

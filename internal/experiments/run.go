@@ -128,9 +128,9 @@ type RunConfig struct {
 	// Background enables the UI/OS load generator (default on via
 	// DefaultRunConfig).
 	Background bool
-	// Horizon caps virtual time (0 = Duration*6 + 60 s; starved runs
-	// terminate, radio tails need the +60 s). A session still incomplete
-	// at the cap makes Run fail with ErrHorizonExceeded.
+	// Horizon caps virtual time (0 = DefaultHorizon(Duration)). A
+	// session still incomplete at the cap makes Run fail with
+	// ErrHorizonExceeded.
 	Horizon sim.Time
 	// FPS overrides the frame rate (0 = 30).
 	FPS float64
@@ -161,6 +161,11 @@ type RunConfig struct {
 	// their results are never served from the dvfsd cache (DESIGN.md §10).
 	Strict bool
 }
+
+// DefaultHorizon is the virtual-time cap for content of duration d when
+// no Horizon is set: six times the content, so starved sessions still
+// terminate, plus 60 s for the radio tail after the last frame.
+func DefaultHorizon(d sim.Time) sim.Time { return d*6 + 60*sim.Second }
 
 // DefaultRunConfig returns the evaluation's base case: flagship device,
 // sports content pinned at 720p, constant 8 Mbps link, background load on,

@@ -320,7 +320,7 @@ func (v *Viewer) Reset(cfg RunConfig, opts ViewerOptions) (err error) {
 	}
 	v.ps.OnDone(v.doneFn)
 
-	v.horizon = cfg.Duration*6 + 60*sim.Second
+	v.horizon = DefaultHorizon(cfg.Duration)
 	if cfg.Horizon > 0 {
 		v.horizon = cfg.Horizon
 	}

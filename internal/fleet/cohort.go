@@ -10,15 +10,7 @@ import (
 
 	"videodvfs/internal/cohort"
 	"videodvfs/internal/server"
-	"videodvfs/internal/sim"
 )
-
-// cohortSummaryFrame mirrors dvfsd's cohort summary NDJSON line.
-type cohortSummaryFrame struct {
-	Ev     string        `json:"ev"`
-	Key    string        `json:"key,omitempty"`
-	Result cohort.Result `json:"result"`
-}
 
 // handleCohort shards one cohort across the fleet. The shard layout is a
 // pure function of the cohort config, so the controller derives it
@@ -30,63 +22,68 @@ type cohortSummaryFrame struct {
 // cohort stream with. (Rollup frames require the whole-cohort barrier
 // state no part can see, so a fleet cohort answers with the summary
 // only.)
+//
+// The summary's key is the one the workers report in their part bodies,
+// computed by their own admission step — the controller never re-derives
+// a worker's caps. Workers that disagree on it are admitting the cohort
+// under different settings, and their parts are not merged: 500.
 func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
-	c.met.request("cohort")
-	if c.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, server.CodeDraining, "controller draining, not admitting new work")
-		return
-	}
-	req, err := server.DecodeCohortRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		c.writeRequestError(w, err)
+	req, ok := decodePost(c, w, r, "cohort", server.DecodeCohortRequest)
+	if !ok {
 		return
 	}
 	if len(r.URL.Query()) != 0 {
 		// ?stream=1 and ?strict=1 need single-engine context a sharded
 		// cohort does not have; reject rather than silently degrade.
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest,
+		server.WriteError(w, http.StatusBadRequest, server.CodeBadRequest,
 			"fleet: /v1/cohort accepts no query parameters (stream/strict are single-node features)")
 		return
 	}
 	cfg, err := req.Config()
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteRequestError(w, err)
 		return
 	}
-	// Pin the horizon exactly like a worker's admission step does before
-	// it computes the cohort key: the canonical key covers every config
-	// field, so the controller must resolve defaults identically or the
-	// key it echoes (and routes by) diverges from the single-node one.
-	if cfg.Base.Horizon <= 0 {
-		cfg.Base.Horizon = cfg.Base.Duration*6 + 60*sim.Second
-	}
-	if cfg.Base.Horizon > c.cfg.MaxHorizon {
-		cfg.Base.Horizon = c.cfg.MaxHorizon
-	}
-	nShards := cohort.ShardCount(cfg)
-	key, _ := cohort.Key(cfg)
-
-	shards := make([]int, nShards)
+	// Route by the request's own cohort key: a pure function of the body,
+	// so identical cohorts always land on the same workers.
+	route, _ := cohort.Key(cfg)
+	shards := make([]int, cohort.ShardCount(cfg))
 	for i := range shards {
 		shards[i] = i
 	}
-	parts, resp, err := c.runShards(r.Context(), req, key, shards)
+	bodies, resp, err := c.runShards(r.Context(), req, route, shards)
 	if err != nil || resp.status != 0 {
 		c.writeDispatchError(w, resp, err)
 		return
 	}
+	parts := make([]cohort.Partial, len(bodies))
+	for i, b := range bodies {
+		if b.Key != bodies[0].Key {
+			server.WriteError(w, http.StatusInternalServerError, server.CodeInternal,
+				fmt.Sprintf("fleet: workers disagree on the cohort key (%q vs %q); their admission settings differ",
+					bodies[0].Key, b.Key))
+			return
+		}
+		parts[i] = b.Partial
+	}
 	merged, err := cohort.MergeParts(parts)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return
 	}
-	body, err := json.Marshal(cohortSummaryFrame{Ev: "summary", Key: key, Result: merged})
+	body, err := json.Marshal(server.CohortSummaryFrame{Ev: "summary", Key: bodies[0].Key, Result: merged})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Write(append(body, '\n'))
+}
+
+// shardRoute is the ring key of one cohort shard: the cohort's key plus
+// the shard index.
+func shardRoute(cohortKey string, shard int) string {
+	return cohortKey + "/shard/" + strconv.Itoa(shard)
 }
 
 // runShards dispatches the named shard indexes across the fleet and
@@ -102,8 +99,8 @@ func (c *Controller) handleCohort(w http.ResponseWriter, r *http.Request) {
 // Failures return either a non-nil error (fleet-level) or a wresp with a
 // non-zero status (worker envelope to pass through); success returns
 // resp.status == 0.
-func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, shards []int) ([]cohort.Partial, wresp, error) {
-	var parts []cohort.Partial
+func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, key string, shards []int) ([]server.CohortPartBody, wresp, error) {
+	var parts []server.CohortPartBody
 	pending := shards
 	for round := 0; len(pending) > 0; round++ {
 		if round > len(c.workers) {
@@ -111,7 +108,7 @@ func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, ke
 		}
 		groups := make(map[*worker][]int)
 		for _, sh := range pending {
-			wk, ok := c.pick(key + "/shard/" + strconv.Itoa(sh))
+			wk, ok := c.pick(shardRoute(key, sh))
 			if !ok {
 				return nil, wresp{}, errNoWorkers
 			}
@@ -138,16 +135,14 @@ func (c *Controller) runShards(ctx context.Context, req server.CohortRequest, ke
 				defer mu.Unlock()
 				switch {
 				case err == nil && resp.status == http.StatusOK:
-					var pb struct {
-						Partial cohort.Partial `json:"partial"`
-					}
+					var pb server.CohortPartBody
 					if uerr := json.Unmarshal(resp.body, &pb); uerr != nil {
 						if !failed {
 							failed, failErr = true, fmt.Errorf("fleet: worker %s: undecodable part: %w", wk.url, uerr)
 						}
 						return
 					}
-					parts = append(parts, pb.Partial)
+					parts = append(parts, pb)
 				case err != nil && !wk.alive.Load():
 					// Ejected mid-dispatch: rehash this group's shards onto
 					// the survivors next round.

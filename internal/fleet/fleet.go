@@ -37,12 +37,11 @@ import (
 	"time"
 
 	"videodvfs/internal/server"
-	"videodvfs/internal/sim"
 )
 
 // CodeNoWorkers is the fleet-specific envelope code for a request that
 // could not be routed because every worker is ejected. HTTP 503.
-// (All other codes mirror dvfsd's — see server.Code*.)
+// (Every other code is dvfsd's own — see server.Code*.)
 const CodeNoWorkers = "no_workers"
 
 // errNoWorkers reports a routing attempt with zero alive workers.
@@ -72,12 +71,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// MaxSweepRuns mirrors the workers' sweep-expansion cap (≤0 = 1024).
 	MaxSweepRuns int
-	// MaxHorizon mirrors the workers' per-run virtual-time cap
-	// (≤0 = 1 virtual hour). It must match the workers' setting: the
-	// controller pins each cohort's horizon exactly like a worker's
-	// prepare step does, so the cohort key it reports (and routes by)
-	// equals the one a single node would.
-	MaxHorizon sim.Time
 	// VNodes is the consistent-hash ring's virtual nodes per worker
 	// (≤0 = 64).
 	VNodes int
@@ -108,9 +101,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweepRuns <= 0 {
 		c.MaxSweepRuns = 1024
 	}
-	if c.MaxHorizon <= 0 {
-		c.MaxHorizon = sim.Time(3600) * sim.Second
-	}
 	if c.VNodes <= 0 {
 		c.VNodes = 64
 	}
@@ -127,7 +117,8 @@ type Controller struct {
 	workers  []*worker
 	ring     *ring
 	sem      chan struct{}
-	met      *metrics
+	requests *server.RequestCounters
+	ejected  atomic.Int64 // alive→dead transitions, fleet-wide
 	mux      *http.ServeMux
 	draining atomic.Bool
 	stop     chan struct{}
@@ -142,12 +133,12 @@ func New(cfg Config) (*Controller, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg:    cfg,
-		ring:   newRing(cfg.Workers, cfg.VNodes),
-		sem:    make(chan struct{}, cfg.Concurrency),
-		met:    newMetrics(),
-		stop:   make(chan struct{}),
-		probed: make(chan struct{}),
+		cfg:      cfg,
+		ring:     newRing(cfg.Workers, cfg.VNodes),
+		sem:      make(chan struct{}, cfg.Concurrency),
+		requests: server.NewRequestCounters(),
+		stop:     make(chan struct{}),
+		probed:   make(chan struct{}),
 	}
 	for _, u := range cfg.Workers {
 		w := &worker{url: strings.TrimRight(u, "/")}
@@ -185,6 +176,17 @@ func (c *Controller) Shutdown(ctx context.Context) error {
 }
 
 // ---- routing + dispatch ----
+
+// aliveCount is how many workers routing currently reaches.
+func (c *Controller) aliveCount() int {
+	alive := 0
+	for _, wk := range c.workers {
+		if wk.alive.Load() {
+			alive++
+		}
+	}
+	return alive
+}
 
 // pick routes key to its owning alive worker on the ring.
 func (c *Controller) pick(key string) (*worker, bool) {
@@ -279,7 +281,7 @@ func (c *Controller) post(ctx context.Context, w *worker, path, query string, bo
 				last, lastErr = resp, fmt.Errorf("fleet: worker %s: status %d: %s", w.url, resp.status, resp.message)
 			}
 			if w.fail(int64(c.cfg.EjectAfter)) {
-				c.met.ejections.Add(1)
+				c.ejected.Add(1)
 				return last, lastErr // ejected: let the caller rehash now
 			}
 			if serr := sleepCtx(ctx, c.backoff(attempt)); serr != nil {
@@ -331,12 +333,7 @@ func (c *Controller) exchange(ctx context.Context, w *worker, path, query string
 	}
 	out := wresp{status: resp.StatusCode, body: data}
 	if resp.StatusCode != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
+		var env server.ErrorBody
 		if json.Unmarshal(data, &env) == nil {
 			out.code, out.message = env.Error.Code, env.Error.Message
 		}
@@ -423,29 +420,21 @@ func (c *Controller) probe(w *worker) {
 
 // ---- response plumbing ----
 
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
+// maxBodyBytes bounds controller request bodies, mirroring dvfsd.
+const maxBodyBytes = 1 << 20
 
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"encoding failure"}}`,
-			http.StatusInternalServerError)
-		return
+// decodePost is dvfsd's POST preamble on the controller: count the
+// request, refuse new work while draining, decode the size-capped body.
+// It answers every refusal itself.
+func decodePost[T any](c *Controller, w http.ResponseWriter, r *http.Request, endpoint string,
+	decode func(io.Reader) (T, error)) (T, bool) {
+	c.requests.Inc(endpoint)
+	if c.draining.Load() {
+		server.WriteError(w, http.StatusServiceUnavailable, server.CodeDraining, "controller draining, not admitting new work")
+		var zero T
+		return zero, false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
-func writeErr(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: message}})
+	return server.DecodeBody(w, r, maxBodyBytes, decode)
 }
 
 // writeDispatchError renders a failed dispatch: worker envelopes pass
@@ -453,11 +442,11 @@ func writeErr(w http.ResponseWriter, status int, code, message string) {
 // get their own codes.
 func (c *Controller) writeDispatchError(w http.ResponseWriter, resp wresp, err error) {
 	if errors.Is(err, errNoWorkers) {
-		writeErr(w, http.StatusServiceUnavailable, CodeNoWorkers, err.Error())
+		server.WriteError(w, http.StatusServiceUnavailable, CodeNoWorkers, err.Error())
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return
 	}
 	if resp.status == http.StatusTooManyRequests {
@@ -467,28 +456,23 @@ func (c *Controller) writeDispatchError(w http.ResponseWriter, resp wresp, err e
 	if code == "" {
 		code = server.CodeInternal
 	}
-	writeErr(w, resp.status, code, resp.message)
+	server.WriteError(w, resp.status, code, resp.message)
 }
 
 func (c *Controller) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if c.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
+		server.WriteJSON(w, http.StatusServiceUnavailable, struct {
 			Status string `json:"status"`
 		}{"draining"})
 		return
 	}
-	alive := 0
-	for _, wk := range c.workers {
-		if wk.alive.Load() {
-			alive++
-		}
-	}
+	alive := c.aliveCount()
 	status := http.StatusOK
 	state := "ok"
 	if alive == 0 {
 		status, state = http.StatusServiceUnavailable, "no_workers"
 	}
-	writeJSON(w, status, struct {
+	server.WriteJSON(w, status, struct {
 		Status  string `json:"status"`
 		Workers int    `json:"workers"`
 		Alive   int    `json:"alive"`

@@ -18,6 +18,7 @@ import (
 	"videodvfs/internal/cohort"
 	"videodvfs/internal/experiments"
 	"videodvfs/internal/server"
+	"videodvfs/internal/sim"
 )
 
 // ---- ring ----
@@ -87,32 +88,32 @@ func testFleet(t *testing.T, n int, workerCfg server.Config, fcfg Config) (strin
 	return testFleetWith(t, n, func(int) server.Config { return workerCfg }, fcfg)
 }
 
-// testFleetWith is testFleet with worker i configured by cfgFor(i).
+// testWorker boots one real dvfsd over httptest, shut down with the test.
+func testWorker(t *testing.T, cfg server.Config) *httptest.Server {
+	t.Helper()
+	s := server.New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	return ts
+}
+
+// testFleetWith is testFleet with worker i configured by cfgFor(i); the
+// reference dvfsd keeps the default config.
 func testFleetWith(t *testing.T, n int, cfgFor func(i int) server.Config, fcfg Config) (string, []*httptest.Server, string) {
 	t.Helper()
 	var urls []string
 	var wts []*httptest.Server
 	for i := 0; i < n; i++ {
-		s := server.New(cfgFor(i))
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			ts.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		})
+		ts := testWorker(t, cfgFor(i))
 		urls = append(urls, ts.URL)
 		wts = append(wts, ts)
 	}
-
-	ref := server.New(server.Config{})
-	refTS := httptest.NewServer(ref.Handler())
-	t.Cleanup(func() {
-		refTS.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		ref.Shutdown(ctx)
-	})
+	refTS := testWorker(t, server.Config{})
 
 	fcfg.Workers = urls
 	ctl, err := New(fcfg)
@@ -298,6 +299,137 @@ func TestFleetCohortMatchesSingleNode(t *testing.T) {
 	}
 	if _, result = summaryOf(t, fleetBody); !reflect.DeepEqual(result, refResult) {
 		t.Fatalf("post-kill fleet cohort differs:\nfleet: %+v\nref:   %+v", result, refResult)
+	}
+}
+
+// longCohortReq has a default horizon (6 × 100 s + 60 s = 660 s) above a
+// 600 s worker cap, so the cap decides the horizon, and with it the
+// cohort key; every viewer still completes well inside either horizon.
+const longCohortReq = `{"base": {"duration_s": 100}, "viewers": 12, "shards": 12, "rollup_s": 20, "seed": 7}`
+
+// The controller echoes the key its workers computed under their own
+// admission caps, so a fleet of dvfsd -max-horizon-s 600 workers answers
+// with the key and Result of a single such dvfsd.
+func TestFleetCohortKeyFollowsWorkerHorizonCap(t *testing.T) {
+	capped := server.Config{MaxHorizon: 600 * sim.Second}
+	ctlURL, _, _ := testFleet(t, 3, capped, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	ref := testWorker(t, capped)
+
+	refResp, refBody := post(t, ref.URL+"/v1/cohort", longCohortReq)
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("ref cohort status %d: %s", refResp.StatusCode, refBody)
+	}
+	refKey, refResult := summaryOf(t, refBody)
+	resp, fleetBody := post(t, ctlURL+"/v1/cohort", longCohortReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fleet cohort status %d: %s", resp.StatusCode, fleetBody)
+	}
+	key, result := summaryOf(t, fleetBody)
+	if key != refKey {
+		t.Fatalf("fleet cohort key %s, want the capped worker's %s", key, refKey)
+	}
+	if !reflect.DeepEqual(result, refResult) {
+		t.Fatalf("fleet cohort differs from single node:\nfleet: %+v\nref:   %+v", result, refResult)
+	}
+}
+
+// Workers admitting one cohort under different horizon caps compute
+// different cohort keys; the controller must refuse to merge their parts
+// into one answer.
+func TestFleetCohortRejectsDisagreeingWorkers(t *testing.T) {
+	ctlURL, workers, _ := testFleetWith(t, 2, func(i int) server.Config {
+		if i == 0 {
+			return server.Config{MaxHorizon: 600 * sim.Second}
+		}
+		return server.Config{}
+	}, Config{Retries: 0, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour})
+
+	// Pick a cohort seed whose twelve shards the controller's ring splits
+	// over both workers, so both keys reach the merge.
+	r := newRing([]string{workers[0].URL, workers[1].URL}, 64)
+	var body string
+	for seed := 1; body == ""; seed++ {
+		if seed > 100 {
+			t.Fatal("no cohort seed splits the shards over both workers")
+		}
+		b := fmt.Sprintf(`{"base": {"duration_s": 100}, "viewers": 12, "shards": 12, "rollup_s": 20, "seed": %d}`, seed)
+		req, err := server.DecodeCohortRequest(strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := req.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := cohort.Key(cfg)
+		owners := make(map[int]bool)
+		for sh := 0; sh < 12; sh++ {
+			wi, _ := r.pick(shardRoute(key, sh), func(int) bool { return true })
+			owners[wi] = true
+		}
+		if len(owners) == 2 {
+			body = b
+		}
+	}
+	resp, raw := post(t, ctlURL+"/v1/cohort", body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 for disagreeing workers: %s", resp.StatusCode, raw)
+	}
+	var env server.ErrorBody
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != server.CodeInternal {
+		t.Fatalf("envelope = %s, want code %q", raw, server.CodeInternal)
+	}
+}
+
+// dvfsctl's /metrics carries the shared request ledger plus one gauge
+// set per worker; after one sweep every point shows up as exactly one
+// dispatch somewhere in the fleet.
+func TestFleetMetricsShape(t *testing.T) {
+	ctlURL, workers, _ := testFleet(t, 3, server.Config{}, Config{
+		Retries: 2, Backoff: 5 * time.Millisecond, ProbeInterval: time.Hour,
+	})
+	if resp, raw := post(t, ctlURL+"/v1/sweep", sweepReq); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
+	}
+	_, raw := getBody(t, ctlURL+"/metrics")
+	met := string(raw)
+	for _, want := range []string{
+		"dvfsctl_uptime_seconds ",
+		`dvfsctl_requests_total{endpoint="sweep"} 1` + "\n",
+		"dvfsctl_workers 3\n",
+		"dvfsctl_workers_alive 3\n",
+		"dvfsctl_ejections_total 0\n",
+	} {
+		if !strings.Contains(met, want) {
+			t.Errorf("metrics missing %q:\n%s", want, met)
+		}
+	}
+	dispatches := 0
+	for _, wk := range workers {
+		for _, series := range []string{"up", "queue_depth", "retries_total", "failures_total",
+			"ejections_total", "cache_hits_total", "cache_misses_total", "cache_hit_ratio"} {
+			if prefix := fmt.Sprintf("dvfsctl_worker_%s{worker=%q} ", series, wk.URL); !strings.Contains(met, prefix) {
+				t.Errorf("metrics missing %q", prefix)
+			}
+		}
+		if !strings.Contains(met, fmt.Sprintf("dvfsctl_worker_up{worker=%q} 1\n", wk.URL)) {
+			t.Errorf("worker %s not reported up", wk.URL)
+		}
+		var n int
+		prefix := fmt.Sprintf("dvfsctl_worker_dispatches_total{worker=%q} ", wk.URL)
+		i := strings.Index(met, prefix)
+		if i < 0 {
+			t.Fatalf("metrics missing %q:\n%s", prefix, met)
+		}
+		if _, err := fmt.Sscanf(met[i+len(prefix):], "%d", &n); err != nil {
+			t.Fatalf("dispatch count for %s: %v", wk.URL, err)
+		}
+		dispatches += n
+	}
+	if dispatches != 8 { // sweepReq expands to 2 governors × 4 seeds
+		t.Errorf("workers report %d dispatches in total, want 8 (one per sweep point)", dispatches)
 	}
 }
 

@@ -3,61 +3,20 @@ package fleet
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// metrics aggregates the controller-level counters exposed on /metrics;
-// per-worker gauges live on the workers themselves and are rendered from
-// the same snapshot.
-type metrics struct {
-	start     time.Time
-	requests  sync.Map // endpoint string -> *atomic.Int64
-	ejections atomic.Int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
-}
-
-func (m *metrics) request(endpoint string) {
-	v, ok := m.requests.Load(endpoint)
-	if !ok {
-		v, _ = m.requests.LoadOrStore(endpoint, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(1)
-}
-
 // handleMetrics renders the fleet rollup in the same Prometheus-style
-// text format as dvfsd's /metrics: controller counters first, then one
-// gauge set per worker labeled by its URL.
+// text format as dvfsd's /metrics (the request ledger is dvfsd's own
+// server.RequestCounters): controller counters first, then one gauge set
+// per worker labeled by its URL.
 func (c *Controller) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "dvfsctl_uptime_seconds %g\n", time.Since(c.met.start).Seconds())
+	c.requests.Render(&b, "dvfsctl")
 
-	var endpoints []string
-	c.met.requests.Range(func(k, _ any) bool {
-		endpoints = append(endpoints, k.(string))
-		return true
-	})
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		v, _ := c.met.requests.Load(ep)
-		fmt.Fprintf(&b, "dvfsctl_requests_total{endpoint=%q} %d\n", ep, v.(*atomic.Int64).Load())
-	}
-
-	alive := 0
-	for _, wk := range c.workers {
-		if wk.alive.Load() {
-			alive++
-		}
-	}
 	fmt.Fprintf(&b, "dvfsctl_workers %d\n", len(c.workers))
-	fmt.Fprintf(&b, "dvfsctl_workers_alive %d\n", alive)
-	fmt.Fprintf(&b, "dvfsctl_ejections_total %d\n", c.met.ejections.Load())
+	fmt.Fprintf(&b, "dvfsctl_workers_alive %d\n", c.aliveCount())
+	fmt.Fprintf(&b, "dvfsctl_ejections_total %d\n", c.ejected.Load())
 
 	for _, wk := range c.workers {
 		up := 0

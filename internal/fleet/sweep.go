@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -11,42 +10,20 @@ import (
 	"videodvfs/internal/server"
 )
 
-// maxBodyBytes bounds controller request bodies, mirroring dvfsd.
-const maxBodyBytes = 1 << 20
-
-// sweepBody mirrors dvfsd's /v1/sweep response: per-point outcomes in
-// expansion order, each either the worker's raw run body (byte-identical
-// to a single node's, since both are the same content-addressed marshal)
-// or an error string.
-type sweepBody struct {
-	Count    int            `json:"count"`
-	Outcomes []sweepOutcome `json:"outcomes"`
-}
-
-type sweepOutcome struct {
-	Index int             `json:"index"`
-	Run   json.RawMessage `json:"run,omitempty"`
-	Error string          `json:"error,omitempty"`
-}
-
 // handleSweep shards one sweep across the fleet: the request expands to
 // wire-level points in exactly dvfsd's expansion order, each point
 // routes to the worker owning its ConfigKey on the ring (keeping the
 // workers' caches hot and disjoint), and the outcomes merge back in
-// expansion order — the same response a single dvfsd would build.
+// expansion order — the same response a single dvfsd would build, in
+// dvfsd's own server.SweepBody (each point's run body is the worker's raw
+// bytes, the same content-addressed marshal a single node serves).
 func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
-	c.met.request("sweep")
-	if c.draining.Load() {
-		writeErr(w, http.StatusServiceUnavailable, server.CodeDraining, "controller draining, not admitting new work")
-		return
-	}
-	req, err := server.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		c.writeRequestError(w, err)
+	req, ok := decodePost(c, w, r, "sweep", server.DecodeSweepRequest)
+	if !ok {
 		return
 	}
 	if size := req.Size(); size > int64(c.cfg.MaxSweepRuns) {
-		writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig,
+		server.WriteError(w, http.StatusBadRequest, server.CodeInvalidConfig,
 			fmt.Sprintf("fleet: sweep expands to %d runs, cap is %d", size, c.cfg.MaxSweepRuns))
 		return
 	}
@@ -54,7 +31,7 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// routing keys, in the exact expansion order the wire points use.
 	cfgs, err := req.Configs()
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteRequestError(w, err)
 		return
 	}
 	for _, s := range req.Seeds {
@@ -62,24 +39,24 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// The per-run wire form cannot express seed 0 (zero means
 			// "default"), so a fleet-dispatched point would silently run a
 			// different seed than a single node. Reject rather than diverge.
-			writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig,
+			server.WriteError(w, http.StatusBadRequest, server.CodeInvalidConfig,
 				"fleet: explicit seed 0 is not expressible in dispatched runs")
 			return
 		}
 	}
 	query, err := passthroughQuery(r)
 	if err != nil {
-		c.writeRequestError(w, err)
+		server.WriteRequestError(w, err)
 		return
 	}
 	points := expandSweepWire(req)
 	if len(points) != len(cfgs) { // defensive: the two expansions must mirror
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal,
+		server.WriteError(w, http.StatusInternalServerError, server.CodeInternal,
 			fmt.Sprintf("fleet: wire expansion yielded %d points for %d configs", len(points), len(cfgs)))
 		return
 	}
 
-	outcomes := make([]sweepOutcome, len(points))
+	outcomes := make([]server.SweepOutcome, len(points))
 	resps := make([]wresp, len(points))
 	errs := make([]error, len(points))
 	var wg sync.WaitGroup
@@ -103,16 +80,16 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i := range points {
 		switch {
 		case errs[i] != nil:
-			outcomes[i] = sweepOutcome{Index: i, Error: errs[i].Error()}
+			outcomes[i] = server.SweepOutcome{Index: i, Error: errs[i].Error()}
 			failed++
 		case resps[i].status == http.StatusOK:
-			outcomes[i] = sweepOutcome{Index: i, Run: resps[i].body}
+			outcomes[i] = server.SweepOutcome{Index: i, Run: resps[i].body}
 		default:
 			msg := resps[i].message
 			if msg == "" {
 				msg = fmt.Sprintf("worker status %d", resps[i].status)
 			}
-			outcomes[i] = sweepOutcome{Index: i, Error: msg}
+			outcomes[i] = server.SweepOutcome{Index: i, Error: msg}
 			failed++
 			if resps[i].status == http.StatusTooManyRequests {
 				overloaded++
@@ -127,31 +104,27 @@ func (c *Controller) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// (clamped ≥ 1 like dvfsd's own Retry-After).
 	if failed == len(points) && overloaded == failed && failed > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", maxRetryAfter))
-		writeErr(w, http.StatusTooManyRequests, server.CodeOverloaded,
+		server.WriteError(w, http.StatusTooManyRequests, server.CodeOverloaded,
 			"fleet: every worker is overloaded; retry after the hint")
 		return
 	}
-	writeJSON(w, http.StatusOK, sweepBody{Count: len(outcomes), Outcomes: outcomes})
+	server.WriteJSON(w, http.StatusOK, server.SweepBody{Count: len(outcomes), Outcomes: outcomes})
 }
 
 // passthroughQuery validates and forwards the query parameters dvfsd's
 // /v1/run understands from a sweep (?strict); unknown parameters are a
 // client error rather than a silent drop.
 func passthroughQuery(r *http.Request) (string, error) {
-	q := r.URL.Query()
-	for k := range q {
+	for k := range r.URL.Query() {
 		if k != "strict" {
 			return "", fmt.Errorf("fleet: %w: unknown query parameter %q", server.ErrBadRequest, k)
 		}
 	}
-	switch v := q.Get("strict"); v {
-	case "", "0", "false":
-		return "", nil
-	case "1", "true":
-		return "?strict=1", nil
-	default:
-		return "", fmt.Errorf("fleet: %w: unknown strict value %q (1)", server.ErrBadRequest, v)
+	strict, err := server.BoolParam(r, "strict")
+	if err != nil || !strict {
+		return "", err
 	}
+	return "?strict=1", nil
 }
 
 // expandSweepWire expands a sweep request into per-point run requests in
@@ -204,20 +177,4 @@ func axisOr(axis []string, base string) []string {
 		return []string{base}
 	}
 	return axis
-}
-
-// writeRequestError maps request decoding/validation failures onto
-// dvfsd's envelope taxonomy.
-func (c *Controller) writeRequestError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeErr(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, err.Error())
-	case errors.Is(err, server.ErrBadRequest):
-		writeErr(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
-	case errors.Is(err, experiments.ErrInvalidConfig):
-		writeErr(w, http.StatusBadRequest, server.CodeInvalidConfig, err.Error())
-	default:
-		writeErr(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"videodvfs/internal/cohort"
 	"videodvfs/internal/experiments"
 )
 
@@ -147,6 +148,55 @@ func FuzzDecodeCohortRequest(f *testing.F) {
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("Config() returned a cohort config Validate rejects: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeCohortPartRequest holds /v1/cohort/part's untrusted-input
+// path to the same contract: a typed decode error, a typed config error,
+// or a cohort config Validate accepts, with a stable content-addressed
+// key and a shard set whose cache-key suffix is canonical (any spelling
+// of the same set shares one cached part).
+func FuzzDecodeCohortPartRequest(f *testing.F) {
+	f.Add([]byte(`{"cohort": {}, "shards": [0]}`))
+	f.Add([]byte(`{"cohort": {"base": {"duration_s": 6}, "viewers": 12, "shards": 4, "rollup_s": 5, "seed": 9}, "shards": [3, 1]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 48, "cell": {"capacity_mbps": 40, "sectors": 4}}, "shards": [2, 0, 2]}`))
+	f.Add([]byte(`{"cohort": {"viewers": 4}, "shards": [-1, 9223372036854775807]}`))
+	f.Add([]byte(`{"cohort": {"viewers": -1}, "shards": [0]}`))
+	f.Add([]byte(`{"cohort": {"base": {"net": "5g"}}, "shards": []}`))
+	f.Add([]byte(`{"shards": [0], "viewers": 5}`))
+	f.Add([]byte(`{"cohort": {}, "shards": [0.5]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeCohortPartRequest(bytes.NewReader(body))
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("decode error %v does not wrap ErrBadRequest", err)
+			}
+			return
+		}
+		cfg, err := req.Config()
+		if err != nil {
+			if !errors.Is(err, experiments.ErrInvalidConfig) {
+				t.Fatalf("Config error %v does not wrap ErrInvalidConfig", err)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Config() returned a cohort config Validate rejects: %v", err)
+		}
+		if n := cohort.ShardCount(cfg); n < 1 || n > cfg.Viewers {
+			t.Fatalf("ShardCount = %d for %d viewers", n, cfg.Viewers)
+		}
+		if k, ok := cohort.Key(cfg); !ok || len(k) != 64 {
+			t.Fatalf("decoded cohort key %q (cacheable %v)", k, ok)
+		}
+		set := shardSetKey(req.Shards)
+		rev := make([]int, len(req.Shards))
+		for i, idx := range req.Shards {
+			rev[len(rev)-1-i] = idx
+		}
+		if again := shardSetKey(append(rev, rev...)); again != set {
+			t.Fatalf("shard-set key not canonical: %q vs %q for %v", set, again, req.Shards)
 		}
 	})
 }

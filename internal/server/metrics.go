@@ -19,9 +19,7 @@ const latencyWindow = 512
 // Counters are atomics; the latency ring is mutex-guarded. Everything
 // derived (ratios, quantiles, rates) is computed at render time.
 type metrics struct {
-	start time.Time
-
-	requests sync.Map // endpoint string -> *atomic.Int64
+	requests *RequestCounters
 	rejected atomic.Int64
 	runs     atomic.Int64
 	runErrs  atomic.Int64
@@ -33,16 +31,48 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+	return &metrics{requests: NewRequestCounters()}
 }
 
-// request counts one request against an endpoint label.
-func (m *metrics) request(endpoint string) {
-	v, ok := m.requests.Load(endpoint)
+// RequestCounters is the request ledger dvfsd and dvfsctl both expose on
+// /metrics: process uptime plus one counter per endpoint label, rendered
+// in the same Prometheus-style text shape under each daemon's prefix.
+type RequestCounters struct {
+	start  time.Time
+	counts sync.Map // endpoint string -> *atomic.Int64
+}
+
+// NewRequestCounters starts the uptime clock with no endpoints counted.
+func NewRequestCounters() *RequestCounters {
+	return &RequestCounters{start: time.Now()}
+}
+
+// Inc counts one request against an endpoint label.
+func (c *RequestCounters) Inc(endpoint string) {
+	v, ok := c.counts.Load(endpoint)
 	if !ok {
-		v, _ = m.requests.LoadOrStore(endpoint, new(atomic.Int64))
+		v, _ = c.counts.LoadOrStore(endpoint, new(atomic.Int64))
 	}
 	v.(*atomic.Int64).Add(1)
+}
+
+// Render writes <prefix>_uptime_seconds and one
+// <prefix>_requests_total{endpoint="..."} line per endpoint, sorted by
+// label, and returns the uptime it reported.
+func (c *RequestCounters) Render(b *strings.Builder, prefix string) (uptime float64) {
+	uptime = time.Since(c.start).Seconds()
+	fmt.Fprintf(b, "%s_uptime_seconds %g\n", prefix, uptime)
+	var endpoints []string
+	c.counts.Range(func(k, _ any) bool {
+		endpoints = append(endpoints, k.(string))
+		return true
+	})
+	sort.Strings(endpoints)
+	for _, ep := range endpoints {
+		v, _ := c.counts.Load(ep)
+		fmt.Fprintf(b, "%s_requests_total{endpoint=%q} %d\n", prefix, ep, v.(*atomic.Int64).Load())
+	}
+	return uptime
 }
 
 // reject counts one admission rejection (HTTP 429).
@@ -80,19 +110,7 @@ func (m *metrics) runQuantiles() (p50, p99 float64) {
 // Gauges owned by other components (queue depth, cache counters) are
 // passed in so /metrics is a consistent point-in-time snapshot.
 func (m *metrics) render(b *strings.Builder, queueDepth, queueCap, active, workers int, cs cacheStats) {
-	uptime := time.Since(m.start).Seconds()
-	fmt.Fprintf(b, "dvfsd_uptime_seconds %g\n", uptime)
-
-	var endpoints []string
-	m.requests.Range(func(k, _ any) bool {
-		endpoints = append(endpoints, k.(string))
-		return true
-	})
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		v, _ := m.requests.Load(ep)
-		fmt.Fprintf(b, "dvfsd_requests_total{endpoint=%q} %d\n", ep, v.(*atomic.Int64).Load())
-	}
+	uptime := m.requests.Render(b, "dvfsd")
 	fmt.Fprintf(b, "dvfsd_requests_rejected_total %d\n", m.rejected.Load())
 
 	fmt.Fprintf(b, "dvfsd_queue_depth %d\n", queueDepth)

@@ -199,21 +199,20 @@ const (
 	CodeInternal = "internal"
 )
 
-// errorBody is the uniform error envelope.
-type errorBody struct {
-	Error errorDetail `json:"error"`
+// ErrorBody is the uniform error envelope, shared by dvfsd and the
+// dvfsctl controller in front of it.
+type ErrorBody struct {
+	Error ErrorDetail `json:"error"`
 }
 
-type errorDetail struct {
+// ErrorDetail is the envelope's payload.
+type ErrorDetail struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
-func errBody(code, message string) errorBody {
-	return errorBody{Error: errorDetail{Code: code, Message: message}}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers v as one JSON line with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"encoding failure"}}`,
@@ -225,13 +224,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(body, '\n'))
 }
 
+// WriteError answers the envelope with an explicit status and code.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
+	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: message}})
+}
+
+// WriteRequestError answers err as the envelope under the service's
+// error taxonomy (see codeStatus).
+func WriteRequestError(w http.ResponseWriter, err error) {
+	code, status := codeStatus(err)
+	WriteError(w, status, code, err.Error())
+}
+
 // codeStatus maps the service's error taxonomy onto an envelope code and
-// HTTP status: decode failures and invalid configs are the client's
-// fault (400), admission bounces are 429, a horizon-exceeded run is a
-// well-formed request whose scenario cannot complete (422), and anything
-// else is a server-side 500.
+// HTTP status: an oversized body is 413, decode failures and invalid
+// configs are the client's fault (400), admission bounces are 429, a
+// horizon-exceeded run is a well-formed request whose scenario cannot
+// complete (422), and anything else is a server-side 500.
 func codeStatus(err error) (code string, status int) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return CodeTooLarge, http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest):
 		return CodeBadRequest, http.StatusBadRequest
 	case errors.Is(err, experiments.ErrInvalidConfig):
@@ -248,12 +262,25 @@ func codeStatus(err error) (code string, status int) {
 // writeError renders err as the uniform envelope, with the Retry-After
 // estimate on admission bounces.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	code, status := codeStatus(err)
-	if code == CodeOverloaded {
+	if code, _ := codeStatus(err); code == CodeOverloaded {
 		s.met.reject()
 		w.Header().Set("Retry-After", s.retryAfter())
 	}
-	writeJSON(w, status, errBody(code, err.Error()))
+	WriteRequestError(w, err)
+}
+
+// failStream answers a streaming handler's failure: with a proper status
+// while nothing has been sent, else in-band as one final envelope line
+// under the same taxonomy.
+func (s *Server) failStream(w http.ResponseWriter, started bool, err error) {
+	if !started {
+		s.writeError(w, err)
+		return
+	}
+	code, _ := codeStatus(err)
+	if body, merr := json.Marshal(ErrorBody{Error: ErrorDetail{Code: code, Message: err.Error()}}); merr == nil {
+		w.Write(append(body, '\n'))
+	}
 }
 
 // retryAfter estimates seconds until queue space frees: the backlog
@@ -270,6 +297,14 @@ func (s *Server) retryAfter() string {
 // sends instead of polling /metrics.
 func (s *Server) loadHeaders(w http.ResponseWriter) {
 	w.Header().Set("X-Dvfsd-Queue-Depth", strconv.Itoa(s.pool.QueueDepth()))
+}
+
+// bodyHeaders stamps a successful body's headers: load, content type,
+// and how the result cache satisfied it.
+func (s *Server) bodyHeaders(w http.ResponseWriter, contentType string, outcome cacheOutcome) {
+	s.loadHeaders(w)
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("X-Dvfsd-Cache", string(outcome))
 }
 
 // retryAfterSeconds is the Retry-After estimate as a pure function, so
@@ -296,7 +331,54 @@ func retryAfterSeconds(backlog, workers int, p50 float64) int {
 	return int(est)
 }
 
-// ---- run execution ----
+// ---- request preamble ----
+
+// accept opens every POST handler: count the request against its
+// endpoint and refuse new work while draining (answering the 503 itself).
+func (s *Server) accept(w http.ResponseWriter, endpoint string) bool {
+	s.met.requests.Inc(endpoint)
+	if s.draining.Load() {
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, "server draining, not admitting new work")
+		return false
+	}
+	return true
+}
+
+// decodePost is accept plus the body decode.
+func decodePost[T any](s *Server, w http.ResponseWriter, r *http.Request, endpoint string,
+	decode func(io.Reader) (T, error)) (T, bool) {
+	if !s.accept(w, endpoint) {
+		var zero T
+		return zero, false
+	}
+	return DecodeBody(w, r, s.cfg.MaxBodyBytes, decode)
+}
+
+// DecodeBody decodes r's body, capped at limit bytes, with decode. On
+// failure it answers the envelope itself — 413 for an oversized body,
+// 400 for a malformed one — and returns false.
+func DecodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64,
+	decode func(io.Reader) (T, error)) (T, bool) {
+	req, err := decode(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		WriteRequestError(w, err)
+		return req, false
+	}
+	return req, true
+}
+
+// BoolParam parses an on/off query parameter: absent, "0" or "false" is
+// off; "1" or "true" is on; anything else is an ErrBadRequest.
+func BoolParam(r *http.Request, name string) (bool, error) {
+	switch v := r.URL.Query().Get(name); v {
+	case "", "0", "false":
+		return false, nil
+	case "1", "true":
+		return true, nil
+	default:
+		return false, fmt.Errorf("%w: unknown %s value %q (1)", ErrBadRequest, name, v)
+	}
+}
 
 // prepare applies the service's resource bounds to a validated config:
 // duration capped up front, horizon clamped to MaxHorizon so every run
@@ -306,61 +388,80 @@ func (s *Server) prepare(cfg *experiments.RunConfig) error {
 		return fmt.Errorf("server: %w: duration %v exceeds the service cap %v",
 			experiments.ErrInvalidConfig, cfg.Duration, s.cfg.MaxDuration)
 	}
-	h := cfg.Horizon
-	if h <= 0 {
-		h = cfg.Duration*6 + 60*sim.Second // Run's own default
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = experiments.DefaultHorizon(cfg.Duration)
 	}
-	if h > s.cfg.MaxHorizon {
-		h = s.cfg.MaxHorizon
-	}
-	cfg.Horizon = h
+	cfg.Horizon = min(cfg.Horizon, s.cfg.MaxHorizon)
 	return nil
 }
 
-// execute runs one simulation through the admission-controlled pool and
-// blocks for its result. A full queue fails fast with ErrOverloaded; an
-// accepted run always completes (results feed the cache even if the
-// client has gone away).
-func (s *Server) execute(cfg experiments.RunConfig) (experiments.RunResult, error) {
-	return s.submit(cfg, func(task func()) error {
-		if !s.pool.TrySubmit(task) {
-			return ErrOverloaded
-		}
-		return nil
-	})
+// cohortConfig resolves a cohort request under the service caps: the
+// viewer cap, then prepare on the per-viewer base. /v1/cohort and
+// /v1/cohort/part admit through it, so a part's key is its cohort's key.
+func (s *Server) cohortConfig(req CohortRequest) (cohort.Config, error) {
+	cfg, err := req.Config()
+	if err != nil {
+		return cfg, err
+	}
+	if cfg.Viewers > s.cfg.MaxCohortViewers {
+		return cfg, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
+			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers)
+	}
+	return cfg, s.prepare(&cfg.Base)
 }
 
-// executeQueued is execute with blocking admission, for sweep items whose
-// admission was decided once for the whole batch.
-func (s *Server) executeQueued(ctx context.Context, cfg experiments.RunConfig) (experiments.RunResult, error) {
-	return s.submit(cfg, func(task func()) error {
-		return s.pool.SubmitCtx(ctx, task)
-	})
+// ---- execution ----
+
+// tryAdmit is fail-fast admission: a full queue is ErrOverloaded.
+func (s *Server) tryAdmit(task func()) error {
+	if !s.pool.TrySubmit(task) {
+		return ErrOverloaded
+	}
+	return nil
 }
 
-func (s *Server) submit(cfg experiments.RunConfig, admit func(func()) error) (experiments.RunResult, error) {
+// runTask is the one pool path: fn runs as a single panic-protected pool
+// task, admitted by admit (tryAdmit, or blocking admission for sweep
+// points whose admission was decided once for the whole batch), its wall
+// latency and outcome counted in /metrics, and the caller blocks for the
+// result. An accepted task always completes (results feed the cache even
+// if the client has gone away).
+func runTask[T any](s *Server, admit func(task func()) error, fn func() (T, error)) (T, error) {
 	type outcome struct {
-		res experiments.RunResult
+		v   T
 		err error
 	}
 	ch := make(chan outcome, 1)
 	seq := int(s.runSeq.Add(1))
 	task := func() {
 		t0 := time.Now()
-		var res experiments.RunResult
+		var v T
 		err := campaign.Protect(seq, func() error {
-			var rerr error
-			res, rerr = s.cfg.Runner(cfg)
-			return rerr
+			var ferr error
+			v, ferr = fn()
+			return ferr
 		})
 		s.met.observeRun(time.Since(t0), err)
-		ch <- outcome{res, err}
+		ch <- outcome{v, err}
 	}
 	if err := admit(task); err != nil {
-		return experiments.RunResult{}, err
+		var zero T
+		return zero, err
 	}
 	out := <-ch
-	return out.res, out.err
+	return out.v, out.err
+}
+
+// cached is the one cache path: a cacheable body is served through the
+// result cache under key (hit → stored bytes, miss → compute + store,
+// concurrent identical requests coalesce); anything else is computed
+// directly and reported as a bypass.
+func (s *Server) cached(key string, cacheable bool, compute func() ([]byte, error)) ([]byte, cacheOutcome, error) {
+	if !cacheable {
+		body, err := compute()
+		return body, cacheBypass, err
+	}
+	return s.cache.Do(key, compute)
 }
 
 // runBody is the cached response body of one run: the content-addressed
@@ -371,49 +472,24 @@ type runBody struct {
 	Result experiments.RunResult `json:"result"`
 }
 
-// runCached executes cfg through the cache (hit → stored bytes,
-// miss → simulate + store, concurrent identical requests coalesce).
-func (s *Server) runCached(cfg experiments.RunConfig) ([]byte, cacheOutcome, error) {
+// runCached serves one run's body through the cache, simulating a miss
+// on the pool under admit.
+func (s *Server) runCached(cfg experiments.RunConfig, admit func(func()) error) ([]byte, cacheOutcome, error) {
 	key, cacheable := experiments.ConfigKey(cfg)
-	compute := func() ([]byte, error) {
-		res, err := s.execute(cfg)
+	return s.cached(key, cacheable, func() ([]byte, error) {
+		res, err := runTask(s, admit, func() (experiments.RunResult, error) { return s.cfg.Runner(cfg) })
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(runBody{Key: key, Result: res})
-	}
-	if !cacheable {
-		body, err := compute()
-		return body, cacheBypass, err
-	}
-	return s.cache.Do(key, compute)
+	})
 }
 
 // ---- handlers ----
 
-// strictParam parses the ?strict= query parameter shared by /run and
-// /sweep. Absent or "0"/"false" means off; "1"/"true" arms the invariant
-// checker; anything else is a client error.
-func strictParam(r *http.Request) (bool, error) {
-	switch v := r.URL.Query().Get("strict"); v {
-	case "", "0", "false":
-		return false, nil
-	case "1", "true":
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: unknown strict value %q (1)", ErrBadRequest, v)
-	}
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.met.request("run")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
-		return
-	}
-	req, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodePost(s, w, r, "run", DecodeRunRequest)
+	if !ok {
 		return
 	}
 	cfg, err := req.Config()
@@ -425,16 +501,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	strict, err := strictParam(r)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
 	// Strict configs are uncacheable by construction (ConfigKey returns
 	// not-cacheable), so runCached re-executes with the checker armed and
 	// answers with X-Dvfsd-Cache: bypass — a strict response always
 	// reflects an audited run, never a pinned body.
-	cfg.Strict = strict
+	if cfg.Strict, err = BoolParam(r, "strict"); err != nil {
+		s.writeError(w, err)
+		return
+	}
 	switch mode := r.URL.Query().Get("trace"); mode {
 	case "":
 	case "jsonl":
@@ -444,14 +518,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: unknown trace mode %q (jsonl)", ErrBadRequest, mode))
 		return
 	}
-	body, outcome, err := s.runCached(cfg)
+	body, outcome, err := s.runCached(cfg, s.tryAdmit)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
+	s.bodyHeaders(w, "application/json", outcome)
 	w.Write(body)
 }
 
@@ -459,19 +531,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // underlying ResponseWriter supports it. Streaming handlers must not
 // assume the Flusher interface: a non-flushing middleware wrapper (or a
 // buffering test recorder) yields fl == nil, and the stream degrades to
-// buffered writes instead of panicking.
+// buffered writes instead of panicking. wrote records whether any byte
+// has gone out, after which a failure can only be reported in-band.
 type flushWriter struct {
-	w  io.Writer
-	fl http.Flusher
+	w     io.Writer
+	fl    http.Flusher
+	wrote bool
 }
 
 // newFlushWriter wraps w, flushing per write when w is an http.Flusher.
-func newFlushWriter(w http.ResponseWriter) flushWriter {
+func newFlushWriter(w http.ResponseWriter) *flushWriter {
 	fl, _ := w.(http.Flusher)
-	return flushWriter{w: w, fl: fl}
+	return &flushWriter{w: w, fl: fl}
 }
 
-func (f flushWriter) Write(p []byte) (int, error) {
+func (f *flushWriter) Write(p []byte) (int, error) {
+	f.wrote = true
 	n, err := f.w.Write(p)
 	if f.fl != nil {
 		f.fl.Flush()
@@ -486,13 +561,12 @@ func (f flushWriter) Write(p []byte) (int, error) {
 // abandoned stream frees its pool worker within one event batch instead
 // of simulating on to the horizon.
 func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg experiments.RunConfig) {
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
-	sink := trace.NewJSONL(newFlushWriter(w))
+	s.bodyHeaders(w, "application/x-ndjson", cacheBypass)
+	fw := newFlushWriter(w)
+	sink := trace.NewJSONL(fw)
 	cfg.Tracer = sink
 	cfg.Cancel = r.Context().Done()
-	res, err := s.execute(cfg)
+	res, err := runTask(s, s.tryAdmit, func() (experiments.RunResult, error) { return s.cfg.Runner(cfg) })
 	if errors.Is(err, experiments.ErrCanceled) {
 		sink.Close()
 		return // client went away; nobody is reading
@@ -501,10 +575,7 @@ func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg exp
 		return // client went away mid-stream; nothing left to say
 	}
 	if err != nil {
-		// Headers are gone; surface the failure in-band as a final line.
-		if body, merr := json.Marshal(errBody(CodeInternal, err.Error())); merr == nil {
-			w.Write(append(body, '\n'))
-		}
+		s.failStream(w, fw.wrote, err)
 		return
 	}
 	final, err := json.Marshal(struct {
@@ -517,29 +588,25 @@ func (s *Server) handleRunTraced(w http.ResponseWriter, r *http.Request, cfg exp
 	}
 }
 
-// sweepBody is the response of one sweep: per-point outcomes in
+// SweepBody is the response of one sweep: per-point outcomes in
 // expansion order, each either a run body (shared with the single-run
-// cache) or an error string.
-type sweepBody struct {
+// cache) or an error string. dvfsctl answers fleet sweeps with the same
+// struct, so the two are byte-identical.
+type SweepBody struct {
 	Count    int            `json:"count"`
-	Outcomes []sweepOutcome `json:"outcomes"`
+	Outcomes []SweepOutcome `json:"outcomes"`
 }
 
-type sweepOutcome struct {
+// SweepOutcome is one sweep point's outcome.
+type SweepOutcome struct {
 	Index int             `json:"index"`
 	Run   json.RawMessage `json:"run,omitempty"`
 	Error string          `json:"error,omitempty"`
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.request("sweep")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
-		return
-	}
-	req, err := DecodeSweepRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeDecodeError(w, err)
+	req, ok := decodePost(s, w, r, "sweep", DecodeSweepRequest)
+	if !ok {
 		return
 	}
 	if size := req.Size(); size > int64(s.cfg.MaxSweepRuns) {
@@ -552,7 +619,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	strict, err := strictParam(r)
+	strict, err := BoolParam(r, "strict")
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -572,80 +639,48 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, ErrOverloaded)
 		return
 	}
-	outcomes := make([]sweepOutcome, len(cfgs))
+	queued := func(task func()) error { return s.pool.SubmitCtx(r.Context(), task) }
+	outcomes := make([]SweepOutcome, len(cfgs))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			key, cacheable := experiments.ConfigKey(cfg)
-			compute := func() ([]byte, error) {
-				res, err := s.executeQueued(r.Context(), cfg)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(runBody{Key: key, Result: res})
-			}
-			var body []byte
-			var err error
-			if cacheable {
-				body, _, err = s.cache.Do(key, compute)
-			} else {
-				body, err = compute()
-			}
+			outcomes[i].Index = i
+			body, _, err := s.runCached(cfg, queued)
 			if err != nil {
-				outcomes[i] = sweepOutcome{Index: i, Error: err.Error()}
+				outcomes[i].Error = err.Error()
 				return
 			}
-			outcomes[i] = sweepOutcome{Index: i, Run: body}
+			outcomes[i].Run = body
 		}()
 	}
 	wg.Wait()
 	s.loadHeaders(w)
-	writeJSON(w, http.StatusOK, sweepBody{Count: len(outcomes), Outcomes: outcomes})
+	WriteJSON(w, http.StatusOK, SweepBody{Count: len(outcomes), Outcomes: outcomes})
 }
 
 // ---- cohort endpoint ----
 
-// cohortRollupFrame and cohortSummaryFrame are the NDJSON lines of a
-// /v1/cohort response: periodic rollup frames followed by one summary.
+// cohortRollupFrame is one periodic NDJSON line of a /v1/cohort
+// response; a CohortSummaryFrame closes it.
 type cohortRollupFrame struct {
 	Ev     string        `json:"ev"`
 	Rollup cohort.Rollup `json:"rollup"`
 }
 
-type cohortSummaryFrame struct {
+// CohortSummaryFrame is the closing NDJSON line of a cohort response;
+// dvfsctl answers a fleet cohort with this frame alone.
+type CohortSummaryFrame struct {
 	Ev     string        `json:"ev"`
 	Key    string        `json:"key,omitempty"`
 	Result cohort.Result `json:"result"`
 }
 
-// executeCohort runs one cohort through the admission-controlled pool as
-// a single task (the cohort fans its shards over its own workers) and
-// blocks for its result.
-func (s *Server) executeCohort(cfg cohort.Config) (cohort.Result, error) {
-	type outcome struct {
-		res cohort.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	seq := int(s.runSeq.Add(1))
-	task := func() {
-		t0 := time.Now()
-		var res cohort.Result
-		err := campaign.Protect(seq, func() error {
-			var rerr error
-			res, rerr = cohort.Run(cfg)
-			return rerr
-		})
-		s.met.observeRun(time.Since(t0), err)
-		ch <- outcome{res, err}
-	}
-	if !s.pool.TrySubmit(task) {
-		return cohort.Result{}, ErrOverloaded
-	}
-	out := <-ch
-	return out.res, out.err
+// runCohort runs one cohort through the pool as a single task (the
+// cohort fans its shards over its own workers).
+func (s *Server) runCohort(cfg cohort.Config) (cohort.Result, error) {
+	return runTask(s, s.tryAdmit, func() (cohort.Result, error) { return cohort.Run(cfg) })
 }
 
 // handleCohort runs a whole viewer population in cohort mode and answers
@@ -658,43 +693,22 @@ func (s *Server) executeCohort(cfg cohort.Config) (cohort.Result, error) {
 // flushes each frame as its barrier completes. Strict cohorts
 // (?strict=1) are uncacheable by construction, exactly like strict runs.
 func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
-	s.met.request("cohort")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	req, ok := decodePost(s, w, r, "cohort", DecodeCohortRequest)
+	if !ok {
 		return
 	}
-	req, err := DecodeCohortRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	cfg, err := req.Config()
+	cfg, err := s.cohortConfig(req)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if cfg.Viewers > s.cfg.MaxCohortViewers {
-		s.writeError(w, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
-			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers))
-		return
-	}
-	if err := s.prepare(&cfg.Base); err != nil {
+	if cfg.Base.Strict, err = BoolParam(r, "strict"); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	strict, err := strictParam(r)
+	stream, err := BoolParam(r, "stream")
 	if err != nil {
 		s.writeError(w, err)
-		return
-	}
-	cfg.Base.Strict = strict
-	stream := false
-	switch v := r.URL.Query().Get("stream"); v {
-	case "", "0", "false":
-	case "1", "true":
-		stream = true
-	default:
-		s.writeError(w, fmt.Errorf("%w: unknown stream value %q (1)", ErrBadRequest, v))
 		return
 	}
 	key, cacheable := cohort.Key(cfg)
@@ -702,36 +716,27 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 		s.handleCohortStream(w, r, key, cfg)
 		return
 	}
-	compute := func() ([]byte, error) {
+	body, outcome, err := s.cached("cohort/"+key, cacheable, func() ([]byte, error) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		runCfg := cfg
 		runCfg.OnRollup = func(ru cohort.Rollup) {
 			enc.Encode(cohortRollupFrame{Ev: "rollup", Rollup: ru})
 		}
-		res, err := s.executeCohort(runCfg)
+		res, err := s.runCohort(runCfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := enc.Encode(cohortSummaryFrame{Ev: "summary", Key: key, Result: res}); err != nil {
+		if err := enc.Encode(CohortSummaryFrame{Ev: "summary", Key: key, Result: res}); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
-	}
-	var body []byte
-	outcome := cacheBypass
-	if cacheable {
-		body, outcome, err = s.cache.Do("cohort/"+key, compute)
-	} else {
-		body, err = compute()
-	}
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
+	s.bodyHeaders(w, "application/x-ndjson", outcome)
 	w.Write(body)
 }
 
@@ -742,77 +747,33 @@ func (s *Server) handleCohort(w http.ResponseWriter, r *http.Request) {
 // line, like traced runs. The client's disconnect cancels the cohort at
 // its next rollup barrier, so an abandoned stream stops burning the pool.
 func (s *Server) handleCohortStream(w http.ResponseWriter, r *http.Request, key string, cfg cohort.Config) {
+	s.bodyHeaders(w, "application/x-ndjson", cacheBypass)
 	fw := newFlushWriter(w)
 	enc := json.NewEncoder(fw)
-	wrote := false
 	cfg.OnRollup = func(ru cohort.Rollup) {
-		if !wrote {
-			s.loadHeaders(w)
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
-			wrote = true
-		}
 		enc.Encode(cohortRollupFrame{Ev: "rollup", Rollup: ru})
 	}
 	cfg.Cancel = r.Context().Done()
-	res, err := s.executeCohort(cfg)
+	res, err := s.runCohort(cfg)
 	if errors.Is(err, experiments.ErrCanceled) {
 		return // client went away; nobody is reading
 	}
 	if err != nil {
-		if !wrote {
-			s.writeError(w, err) // nothing sent yet: a proper status is still possible
-			return
-		}
-		code, _ := codeStatus(err)
-		if body, merr := json.Marshal(errBody(code, err.Error())); merr == nil {
-			w.Write(append(body, '\n'))
-		}
+		s.failStream(w, fw.wrote, err)
 		return
 	}
-	if !wrote {
-		s.loadHeaders(w)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Dvfsd-Cache", string(cacheBypass))
-	}
-	enc.Encode(cohortSummaryFrame{Ev: "summary", Key: key, Result: res})
+	enc.Encode(CohortSummaryFrame{Ev: "summary", Key: key, Result: res})
 }
 
 // ---- cohort part endpoint (the fleet's worker-side seam) ----
 
-// cohortPartBody is the response of one partial cohort run: the cohort's
+// CohortPartBody is the response of one partial cohort run: the cohort's
 // content-addressed key (empty when uncacheable) plus the executed
-// shards' serialized aggregation states.
-type cohortPartBody struct {
+// shards' serialized aggregation states. dvfsctl echoes the workers' key
+// rather than deriving its own.
+type CohortPartBody struct {
 	Key     string         `json:"key,omitempty"`
 	Partial cohort.Partial `json:"partial"`
-}
-
-// executeCohortPart runs a shard subset through the admission-controlled
-// pool as one task, exactly like executeCohort.
-func (s *Server) executeCohortPart(cfg cohort.Config, shards []int) (cohort.Partial, error) {
-	type outcome struct {
-		res cohort.Partial
-		err error
-	}
-	ch := make(chan outcome, 1)
-	seq := int(s.runSeq.Add(1))
-	task := func() {
-		t0 := time.Now()
-		var res cohort.Partial
-		err := campaign.Protect(seq, func() error {
-			var rerr error
-			res, rerr = cohort.RunPart(cfg, shards)
-			return rerr
-		})
-		s.met.observeRun(time.Since(t0), err)
-		ch <- outcome{res, err}
-	}
-	if !s.pool.TrySubmit(task) {
-		return cohort.Partial{}, ErrOverloaded
-	}
-	out := <-ch
-	return out.res, out.err
 }
 
 // handleCohortPart executes only the named shards of a cohort and
@@ -824,52 +785,28 @@ func (s *Server) executeCohortPart(cfg cohort.Config, shards []int) (cohort.Part
 // shard set): re-dispatch after a controller retry or worker restart is
 // a cache hit.
 func (s *Server) handleCohortPart(w http.ResponseWriter, r *http.Request) {
-	s.met.request("cohort-part")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	req, ok := decodePost(s, w, r, "cohort-part", DecodeCohortPartRequest)
+	if !ok {
 		return
 	}
-	req, err := DecodeCohortPartRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	cfg, err := s.cohortConfig(req.Cohort)
 	if err != nil {
-		s.writeDecodeError(w, err)
-		return
-	}
-	cfg, err := req.Config()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if cfg.Viewers > s.cfg.MaxCohortViewers {
-		s.writeError(w, fmt.Errorf("server: %w: cohort of %d viewers exceeds the service cap %d",
-			experiments.ErrInvalidConfig, cfg.Viewers, s.cfg.MaxCohortViewers))
-		return
-	}
-	if err := s.prepare(&cfg.Base); err != nil {
 		s.writeError(w, err)
 		return
 	}
 	key, cacheable := cohort.Key(cfg)
-	compute := func() ([]byte, error) {
-		res, err := s.executeCohortPart(cfg, req.Shards)
+	body, outcome, err := s.cached("cohortpart/"+key+"/"+shardSetKey(req.Shards), cacheable, func() ([]byte, error) {
+		part, err := runTask(s, s.tryAdmit, func() (cohort.Partial, error) { return cohort.RunPart(cfg, req.Shards) })
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(cohortPartBody{Key: key, Partial: res})
-	}
-	var body []byte
-	outcome := cacheBypass
-	if cacheable {
-		body, outcome, err = s.cache.Do("cohortpart/"+key+"/"+shardSetKey(req.Shards), compute)
-	} else {
-		body, err = compute()
-	}
+		return json.Marshal(CohortPartBody{Key: key, Partial: part})
+	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.loadHeaders(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
+	s.bodyHeaders(w, "application/json", outcome)
 	w.Write(body)
 }
 
@@ -899,57 +836,35 @@ type experimentBody struct {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	s.met.request("experiment")
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errBody(CodeDraining, "server draining, not admitting new work"))
+	if !s.accept(w, "experiment") {
 		return
 	}
 	id := r.PathValue("id")
 	builder, err := experiments.Get(id)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody(CodeNotFound, err.Error()))
+		WriteError(w, http.StatusNotFound, CodeNotFound, err.Error())
 		return
 	}
 	// Experiments are identified by ID, not content: the table is a pure
 	// function of the ID for the lifetime of the process.
-	body, outcome, err := s.cache.Do("experiment/"+id, func() ([]byte, error) {
-		type out struct {
-			tab experiments.Table
-			err error
+	body, outcome, err := s.cached("experiment/"+id, true, func() ([]byte, error) {
+		tab, err := runTask(s, s.tryAdmit, func() (experiments.Table, error) { return builder(s.cfg.Runner) })
+		if err != nil {
+			return nil, err
 		}
-		ch := make(chan out, 1)
-		task := func() {
-			t0 := time.Now()
-			var o out
-			o.err = campaign.Protect(int(s.runSeq.Add(1)), func() error {
-				var err error
-				o.tab, err = builder(s.cfg.Runner)
-				return err
-			})
-			s.met.observeRun(time.Since(t0), o.err)
-			ch <- o
-		}
-		if !s.pool.TrySubmit(task) {
-			return nil, ErrOverloaded
-		}
-		o := <-ch
-		if o.err != nil {
-			return nil, o.err
-		}
-		return json.Marshal(experimentBody{ID: id, Table: o.tab})
+		return json.Marshal(experimentBody{ID: id, Table: tab})
 	})
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Dvfsd-Cache", string(outcome))
+	s.bodyHeaders(w, "application/json", outcome)
 	w.Write(body)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	s.met.request("experiment-list")
-	writeJSON(w, http.StatusOK, struct {
+	s.met.requests.Inc("experiment-list")
+	WriteJSON(w, http.StatusOK, struct {
 		IDs []string `json:"ids"`
 	}{experiments.IDs()})
 }
@@ -957,7 +872,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 // handleCatalog serves the built-in catalogs so clients can discover the
 // names RunRequest accepts.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	s.met.request("catalog")
+	s.met.requests.Inc("catalog")
 	type catalog struct {
 		Devices   []string `json:"devices"`
 		Governors []string `json:"governors"`
@@ -985,17 +900,17 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	for _, n := range experiments.NetKinds() {
 		c.Nets = append(c.Nets, string(n))
 	}
-	writeJSON(w, http.StatusOK, c)
+	WriteJSON(w, http.StatusOK, c)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
+		WriteJSON(w, http.StatusServiceUnavailable, struct {
 			Status string `json:"status"`
 		}{"draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{"ok"})
 }
@@ -1005,15 +920,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(&b, s.pool.QueueDepth(), s.pool.Capacity(), s.pool.Active(), s.pool.Workers(), s.cache.Stats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.Write([]byte(b.String()))
-}
-
-// writeDecodeError distinguishes an oversized body (413) from a
-// malformed one (400).
-func (s *Server) writeDecodeError(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errBody(CodeTooLarge, err.Error()))
-		return
-	}
-	s.writeError(w, err)
 }

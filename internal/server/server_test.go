@@ -244,7 +244,7 @@ func TestQueueFull429(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(readAll(t, resp), &eb); err != nil || eb.Error.Code != CodeOverloaded {
 		t.Fatalf("429 body is not an %q envelope: %v %+v", CodeOverloaded, err, eb)
 	}
@@ -294,7 +294,7 @@ func TestShutdownDrains(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/v1/run", `{"duration_s": 5, "seed": 2}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain got %d, want 503", resp.StatusCode)
 	} else {
-		var eb errorBody
+		var eb ErrorBody
 		if err := json.Unmarshal(readAll(t, resp), &eb); err != nil || eb.Error.Code != CodeDraining {
 			t.Fatalf("503 body is not a %q envelope: %+v", CodeDraining, eb)
 		}
@@ -667,7 +667,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.wantStatus, b)
 			continue
 		}
-		var eb errorBody
+		var eb ErrorBody
 		if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != tc.wantCode {
 			t.Errorf("%s: body is not an %q envelope: %s", tc.name, tc.wantCode, b)
 			continue
@@ -687,9 +687,29 @@ func TestHorizonExceeded422(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", resp.StatusCode, b)
 	}
-	var eb errorBody
+	var eb ErrorBody
 	if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Code != CodeHorizonExceeded {
 		t.Fatalf("422 body is not a %q envelope: %s", CodeHorizonExceeded, b)
+	}
+}
+
+// A traced run that fails after its stream started can only report the
+// failure in-band, and the final envelope line must carry the same code
+// the status-bearing answer would: horizon_exceeded, not internal.
+func TestRunTraceStreamInBandHorizonExceeded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/run?trace=jsonl", `{"duration_s":30,"horizon_s":5}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200 (the stream starts before the run fails)", resp.StatusCode)
+	}
+	lines := bytes.Split(bytes.TrimSpace(readAll(t, resp)), []byte("\n"))
+	if len(lines) < 2 {
+		t.Fatalf("trace stream has only %d lines", len(lines))
+	}
+	last := lines[len(lines)-1]
+	var eb ErrorBody
+	if err := json.Unmarshal(last, &eb); err != nil || eb.Error.Code != CodeHorizonExceeded {
+		t.Fatalf("last line is not a %q envelope: %s", CodeHorizonExceeded, last)
 	}
 }
 
@@ -885,7 +905,7 @@ func TestStrictSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, readAll(t, resp))
 	}
-	var sw sweepBody
+	var sw SweepBody
 	if err := json.Unmarshal(readAll(t, resp), &sw); err != nil {
 		t.Fatal(err)
 	}
